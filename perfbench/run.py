@@ -20,7 +20,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ["hot_binary", "mixed_ndjson", "compile_churn", "mc_yield"]
+WORKLOADS = ["hot_binary", "compile_churn", "mc_yield"]
 
 
 def build(env):

@@ -8,7 +8,8 @@ Usage (from the root of a checkout):
 Runs `perfbench/run.py` once per seed, sequentially, and prints for each
 metric its median, quartiles and the quartile spread as a share of the
 median (the figure the benchmark's bounds are compared against), plus
-every value. `--json FILE` also writes the raw values.
+every value. Runs are untraced (`--trace 0`), so the metrics are the
+gated end-to-end set.
 """
 
 import argparse
@@ -37,13 +38,11 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-5")
     ap.add_argument("--seconds", default="20")
-    ap.add_argument("--trace", default="0")
-    ap.add_argument("--json")
     a = ap.parse_args()
     values = {}
     for seed in seeds(a.seeds):
         cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", a.workload,
-               "--seed", str(seed), "--seconds", a.seconds, "--trace", a.trace]
+               "--seed", str(seed), "--seconds", a.seconds, "--trace", "0"]
         p = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         last = p.stdout.strip().splitlines()[-1] if p.stdout.strip() else "{}"
         try:
@@ -66,9 +65,6 @@ def main():
             q1 = q3 = med
         spread = (q3 - q1) / med if med else float("nan")
         print(f"{name:<32} {med:>12.6g} {q1:>12.6g} {q3:>12.6g} {spread:>8.3f}")
-    if a.json:
-        with open(a.json, "w") as f:
-            json.dump({"workload": a.workload, "seconds": a.seconds, "values": values}, f, indent=1)
 
 
 if __name__ == "__main__":

@@ -10,18 +10,14 @@ use serde::Content;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kind {
     Moments,
-    DcGain,
     Delays,
     Rom,
 }
 
 impl Kind {
-    pub const ALL: [Kind; 4] = [Kind::Moments, Kind::DcGain, Kind::Delays, Kind::Rom];
-
     pub fn as_str(self) -> &'static str {
         match self {
             Kind::Moments => "moments",
-            Kind::DcGain => "dc_gain",
             Kind::Delays => "delays",
             Kind::Rom => "rom",
         }
@@ -30,7 +26,6 @@ impl Kind {
     pub fn output(self) -> BatchOutput {
         match self {
             Kind::Moments => BatchOutput::Moments,
-            Kind::DcGain => BatchOutput::DcGain,
             Kind::Delays => BatchOutput::Delays,
             Kind::Rom => BatchOutput::Rom,
         }
@@ -65,7 +60,6 @@ pub fn expect_point(model: &CompiledModel, kind: Kind, vals: &[f64]) -> Expect {
     }
     match kind {
         Kind::Moments => Expect::Vals(m.iter().map(|&v| bits(v)).collect()),
-        Kind::DcGain => Expect::Vals(vec![bits(model.dc_gain(vals))]),
         Kind::Delays => match model.delay_estimates(vals) {
             Ok(d) => Expect::Vals(vec![
                 bits(d.elmore),
@@ -122,7 +116,6 @@ pub fn flatten_point(kind: Kind, c: &Content) -> Option<Expect> {
             let s = c.get("moments")?.as_seq()?;
             out.extend(s.iter().map(|v| num(Some(v))));
         }
-        Kind::DcGain => out.push(num(c.get("dc_gain"))),
         Kind::Delays => {
             for k in ["elmore", "ln2_elmore", "d2m", "two_pole"] {
                 out.push(num(c.get(k)));
@@ -158,19 +151,6 @@ pub fn check_batch_reply(reply: &Content, kind: Kind, expect: &[Expect]) -> usiz
         .zip(expect)
         .filter(|(r, e)| flatten_point(kind, r).as_ref() != Some(e))
         .count()
-}
-
-/// Checks an NDJSON single-point `eval` reply.
-pub fn check_eval_reply(reply: &Content, kind: Kind, expect: &Expect) -> usize {
-    match expect {
-        // A point error on `eval` is a request-level error carrying the
-        // same message.
-        Expect::Err(msg) => usize::from(reply.get("error").and_then(Content::as_str) != Some(msg)),
-        Expect::Vals(_) => {
-            let got = reply.get("result").and_then(|r| flatten_point(kind, r));
-            usize::from(got.as_ref() != Some(expect))
-        }
-    }
 }
 
 /// The exact `AWSB` bytes the server must send for a moments batch,

@@ -120,7 +120,8 @@ fn writer_side(addr: std::net::SocketAddr, pool: &[Circuit], from: Instant, end:
                 if in_window(t0, t1) {
                     side.lat_ms.push((t1 - t0).as_secs_f64() * 1e3);
                     side.ok_points += points.len() as u64;
-                    side.done.push(((t1 - from).as_secs_f64(), points.len() as u64));
+                    side.done
+                        .push(((t1 - from).as_secs_f64(), points.len() as u64));
                     side.requests += 1;
                 }
             }
@@ -157,12 +158,14 @@ fn reader_side(addr: std::net::SocketAddr, hot: &[HotBatch], from: Instant, end:
                 if t0 >= from && t1 <= end {
                     side.lat_ms.push((t1 - t0).as_secs_f64() * 1e3);
                     side.ok_points += b.points.len() as u64;
-                    side.done.push(((t1 - from).as_secs_f64(), b.points.len() as u64));
+                    side.done
+                        .push(((t1 - from).as_secs_f64(), b.points.len() as u64));
                     side.requests += 1;
                 }
             }
             Ok(Msg::Line(l)) => {
-                side.acct.reply(&serde_json::from_slice(l).unwrap_or(Content::Null));
+                side.acct
+                    .reply(&serde_json::from_slice(l).unwrap_or(Content::Null));
             }
             Err(_) => {
                 side.acct.transport += 1;
@@ -194,22 +197,34 @@ fn awe_oracle(
         }
         let m = &c.built.model;
         let points = points_around(rng, m.nominal(), 3, 2.0);
-        let reply = child.ctl.call(&batch_line(&spec.name, Kind::Moments, &points, 2_000_000 + i))?;
+        let reply = child.ctl.call(&batch_line(
+            &spec.name,
+            Kind::Moments,
+            &points,
+            2_000_000 + i,
+        ))?;
         if !child.acct.reply(&reply) {
             report.wrong += 1;
             continue;
         }
         child.acct.batch_points += points.len() as u64;
-        let expect: Vec<Expect> = points.iter().map(|p| expect_point(m, Kind::Moments, p)).collect();
+        let expect: Vec<Expect> = points
+            .iter()
+            .map(|p| expect_point(m, Kind::Moments, p))
+            .collect();
         report.wrong += check_batch_reply(&reply, Kind::Moments, &expect) as u64;
-        let results = reply.get("results").and_then(Content::as_seq).unwrap_or(&[]);
+        let results = reply
+            .get("results")
+            .and_then(Content::as_seq)
+            .unwrap_or(&[]);
         for (p, r) in points.iter().zip(results) {
             let got: Vec<f64> = r
                 .get("moments")
                 .and_then(Content::as_seq)
                 .map(|s| s.iter().filter_map(Content::as_f64).collect())
                 .unwrap_or_default();
-            let subst = awesym_partition::apply_symbol_values(&c.built.circuit, &c.built.bindings, p);
+            let subst =
+                awesym_partition::apply_symbol_values(&c.built.circuit, &c.built.bindings, p);
             let reference = awesym_awe::AweAnalysis::new(&subst, c.built.input, c.built.output)
                 .and_then(|a| a.moments(2 * m.order()))
                 .map_err(|e| format!("numeric AWE failed on {}: {e}", c.spec.shape))?;
@@ -259,10 +274,18 @@ fn save_check(
     let m = &c.built.model;
     let same = loaded.is_ok_and(|l| {
         l.op_count() == m.op_count()
-            && l.symbols().iter().map(ToString::to_string).eq(m.symbols().iter().map(ToString::to_string))
-            && l.nominal().iter().map(|v| v.to_bits()).eq(m.nominal().iter().map(|v| v.to_bits()))
+            && l.symbols()
+                .iter()
+                .map(ToString::to_string)
+                .eq(m.symbols().iter().map(ToString::to_string))
+            && l.nominal()
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(m.nominal().iter().map(|v| v.to_bits()))
     });
-    report.note(&format!("saved artifact of {name}: symbols/op_count/nominal match in-process build: {same}"));
+    report.note(&format!(
+        "saved artifact of {name}: symbols/op_count/nominal match in-process build: {same}"
+    ));
     if !same {
         report.wrong += 1;
     }
@@ -291,11 +314,18 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
                 .map(|&kind| {
                     let n = rng.range(16, 64);
                     let points = points_around(&mut rng, built.model.nominal(), n, 1.5);
-                    let expect = points.iter().map(|p| expect_point(&built.model, kind, p)).collect();
+                    let expect = points
+                        .iter()
+                        .map(|p| expect_point(&built.model, kind, p))
+                        .collect();
                     (kind, Arc::new(points), expect)
                 })
                 .collect();
-            Ok(Circuit { spec, built, batches })
+            Ok(Circuit {
+                spec,
+                built,
+                batches,
+            })
         })
         .collect::<Result<_, String>>()?;
     let hot_spec = opamp741("hot");
@@ -319,15 +349,26 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         pool.iter().map(|c| format!("{}/{}sym/q{}", c.spec.shape, c.spec.symbols.len(), c.spec.order)).collect::<Vec<_>>(),
         t_ref.elapsed().as_secs_f64()
     ));
-    let flags: Vec<String> = ["--shards", "1", "--shard-workers", "2", "--capacity", &CAPACITY.to_string()]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let flags: Vec<String> = [
+        "--shards",
+        "1",
+        "--shard-workers",
+        "2",
+        "--capacity",
+        &CAPACITY.to_string(),
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
     report.note(&format!("server flags {flags:?}"));
     let setup = [(&hot_spec, &hot_built.model)];
     let mut child = serving::start_median(&ctx.bin, &flags, &setup, SETUP_REPS, report)?;
 
-    let window = if ctx.trace { ctx.seconds * 0.4 } else { ctx.seconds };
+    let window = if ctx.trace {
+        ctx.seconds * 0.4
+    } else {
+        ctx.seconds
+    };
     let from = Instant::now() + Duration::from_millis(500);
     let end = from + Duration::from_secs_f64(window);
     let addr = child.addr;
@@ -350,7 +391,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
     report.errors.extend(serving::reconcile(&acct, &facts));
     let exit = child.shutdown();
     if !exit.success {
-        report.errors.push(format!("server did not shut down cleanly: {}", exit.stderr.trim()));
+        report.errors.push(format!(
+            "server did not shut down cleanly: {}",
+            exit.stderr.trim()
+        ));
     }
     report.attempted += acct.sent;
     report.failed += acct.failed();
@@ -360,7 +404,9 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         facts.requests, facts.errors, facts.batch_points, facts.warm_hits, facts.warm_lookups, facts.promotions, facts.demotions
     ));
     if facts.promotions == 0 || facts.demotions == 0 {
-        report.errors.push("compile_churn never exercised warm/cold demotion and promotion".into());
+        report
+            .errors
+            .push("compile_churn never exercised warm/cold demotion and promotion".into());
     }
     let l = lat_summary(&b.lat_ms);
     let c = lat_summary(&a.compile_ms);
@@ -371,10 +417,17 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
     if l.n == 0 || c.n == 0 {
         return Err("no request completed in the measured window".into());
     }
-    report.note(&format!("points over the whole window: {:.0}/s", (a.ok_points + b.ok_points) as f64 / window));
+    report.note(&format!(
+        "points over the whole window: {:.0}/s",
+        (a.ok_points + b.ok_points) as f64 / window
+    ));
     let done: Vec<(f64, u64)> = a.done.iter().chain(&b.done).copied().collect();
     report.metric("points_per_s", windowed_rate(&done, window), "points/s");
-    report.metric("requests_per_s", (a.requests + b.requests) as f64 / window, "req/s");
+    report.metric(
+        "requests_per_s",
+        (a.requests + b.requests) as f64 / window,
+        "req/s",
+    );
     report.metric("lat_p50_ms", l.p50, "ms");
     report.metric("lat_p99_ms", l.p99, "ms");
     report.metric("compile_p50_ms", c.p50, "ms");
@@ -409,23 +462,54 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
             for (name, circ, q) in queries {
                 let (kind, points, _) = &circ.batches[q];
                 reqs.push(Req {
-                    bytes: Arc::new(format!("{}\n", batch_line(&name, *kind, points, 0)).into_bytes()),
+                    bytes: Arc::new(
+                        format!("{}\n", batch_line(&name, *kind, points, 0)).into_bytes(),
+                    ),
                     binary: false,
-                    op: Op::Eval { model: name, points: Arc::clone(points), kind: *kind, single: false },
+                    op: Op::Eval {
+                        model: name,
+                        points: Arc::clone(points),
+                        kind: *kind,
+                    },
                 });
             }
             for h in &hot[..2] {
                 reqs.push(Req {
                     bytes: Arc::clone(&h.frame),
                     binary: true,
-                    op: Op::Eval { model: "hot".into(), points: Arc::clone(&h.points), kind: Kind::Moments, single: false },
+                    op: Op::Eval {
+                        model: "hot".into(),
+                        points: Arc::clone(&h.points),
+                        kind: Kind::Moments,
+                    },
                 });
             }
         }
-        let all_lat: Vec<f64> = b.lat_ms.iter().chain(&a.compile_ms).chain(&a.lat_ms).copied().collect();
-        crate::replay::run_and_report(Replay::new(server), &reqs, ctx.seconds * 0.5, facts.transport_us(&all_lat), report, "compile_churn");
-        report.metric("serve.registry_hit_ratio", facts.warm_hits as f64 / facts.warm_lookups.max(1) as f64, "ratio");
-        report.metric("serve.degraded_frac", facts.degradations as f64 / facts.batch_points.max(1) as f64, "ratio");
+        let all_lat: Vec<f64> = b
+            .lat_ms
+            .iter()
+            .chain(&a.compile_ms)
+            .chain(&a.lat_ms)
+            .copied()
+            .collect();
+        crate::replay::run_and_report(
+            Replay::new(server),
+            &reqs,
+            ctx.seconds * 0.5,
+            facts.transport_us(&all_lat),
+            report,
+            "compile_churn",
+        );
+        report.metric(
+            "serve.registry_hit_ratio",
+            facts.warm_hits as f64 / facts.warm_lookups.max(1) as f64,
+            "ratio",
+        );
+        report.metric(
+            "serve.degraded_frac",
+            facts.degradations as f64 / facts.batch_points.max(1) as f64,
+            "ratio",
+        );
     }
     Ok(())
 }

@@ -130,31 +130,6 @@ pub fn rc_tree8(name: &str) -> ModelSpec {
     )
 }
 
-/// A 30-section RC ladder observed at its far end, three symbols, order 3.
-pub fn ladder30(name: &str) -> ModelSpec {
-    let w = generators::rc_ladder(30, 50.0, 20e-15);
-    let symbols = vec!["R1".into(), "C15".into(), "C30".into()];
-    ModelSpec::from_circuit(name, "rc_ladder_30".into(), &w.circuit, w.input, w.output, symbols, 3)
-}
-
-/// The section 3.2 coupled-line pair (40 segments), cross-talk output,
-/// driver resistance and victim load as symbols.
-pub fn coupled40(name: &str) -> ModelSpec {
-    let l = generators::coupled_lines(&CoupledLineSpec {
-        segments: 40,
-        ..CoupledLineSpec::default()
-    });
-    let symbols = vec!["rdrv1".into(), "cload2".into()];
-    ModelSpec::from_circuit(name, "coupled_40seg".into(), &l.circuit, l.input, l.victim_out, symbols, 2)
-}
-
-/// The paper's Fig. 1 RC circuit with two symbols.
-pub fn fig1(name: &str) -> ModelSpec {
-    let w = generators::fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
-    let symbols = vec!["C1".into(), "R2".into()];
-    ModelSpec::from_circuit(name, "fig1_rc".into(), &w.circuit, w.input, w.output, symbols, 2)
-}
-
 /// Picks `k` distinct R/C elements as symbols (natural roles).
 fn pick_symbols(rng: &mut Rng, c: &Circuit, k: usize) -> Vec<String> {
     let rc: Vec<&str> = c
@@ -226,12 +201,4 @@ pub fn points_around(rng: &mut Rng, nominal: &[f64], n: usize, span: f64) -> Vec
     (0..n)
         .map(|_| nominal.iter().map(|&v| v * rng.factor(span)).collect())
         .collect()
-}
-
-/// A name that the server's shard hash places on `shard` of `shards`.
-pub fn name_on_shard(prefix: &str, shard: usize, shards: usize) -> String {
-    (0..)
-        .map(|i| format!("{prefix}{i}"))
-        .find(|n| awesym_serve::shard::shard_of(n, shards) == shard)
-        .expect("some name lands on every shard")
 }

@@ -75,7 +75,10 @@ fn client(
                     side.wrong += 1;
                 }
                 if t0 >= measure_from && t1 <= end {
-                    side.lat_ms.push(((t1 - measure_from).as_secs_f64(), (t1 - t0).as_secs_f64() * 1e3));
+                    side.lat_ms.push((
+                        (t1 - measure_from).as_secs_f64(),
+                        (t1 - t0).as_secs_f64() * 1e3,
+                    ));
                     side.points += b.points.len() as u64;
                 }
             }
@@ -84,7 +87,10 @@ fn client(
                 side.acct.reply(&c);
             }
             Err(e) => {
-                if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) {
                     side.acct.timeout += 1;
                 } else {
                     side.acct.transport += 1;
@@ -99,7 +105,10 @@ fn client(
 
 pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
     let specs: Vec<ModelSpec> = vec![opamp741("amp741"), rc_tree8("tree8")];
-    let built: Vec<Built> = specs.iter().map(ModelSpec::build).collect::<Result<_, _>>()?;
+    let built: Vec<Built> = specs
+        .iter()
+        .map(ModelSpec::build)
+        .collect::<Result<_, _>>()?;
     let mut rng = Rng::new(ctx.seed, 1);
     let batches: Vec<Batch> = (0..DISTINCT)
         .map(|i| {
@@ -128,10 +137,18 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         built[1].model.symbols().len(),
         built[1].model.op_count(),
     ));
-    let setup: Vec<_> = specs.iter().zip(&built).map(|(s, b)| (s, &b.model)).collect();
+    let setup: Vec<_> = specs
+        .iter()
+        .zip(&built)
+        .map(|(s, b)| (s, &b.model))
+        .collect();
     let mut child = serving::start_median(&ctx.bin, &flags, &setup, SETUP_REPS, report)?;
 
-    let window = if ctx.trace { ctx.seconds * 0.4 } else { ctx.seconds };
+    let window = if ctx.trace {
+        ctx.seconds * 0.4
+    } else {
+        ctx.seconds
+    };
     let warmup = Duration::from_millis(500);
     let start = Instant::now();
     let measure_from = start + warmup;
@@ -144,7 +161,9 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
                 s.spawn(move || client(addr, c, batches, built, measure_from, end))
             })
             .collect();
-        hs.into_iter().map(|h| h.join().expect("client thread")).collect()
+        hs.into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
     });
     let mut acct = child.acct.clone();
     let mut points = 0;
@@ -158,7 +177,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
     report.errors.extend(serving::reconcile(&acct, &facts));
     let exit = child.shutdown();
     if !exit.success {
-        report.errors.push(format!("server did not shut down cleanly: {}", exit.stderr.trim()));
+        report.errors.push(format!(
+            "server did not shut down cleanly: {}",
+            exit.stderr.trim()
+        ));
     }
     report.attempted += acct.sent;
     report.failed += acct.failed();
@@ -167,7 +189,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         "server stats: requests={} errors={} batch_points={} degradations={}",
         facts.requests, facts.errors, facts.batch_points, facts.degradations
     ));
-    let lat: Vec<f64> = sides.iter().flat_map(|s| s.lat_ms.iter().map(|&(_, ms)| ms)).collect();
+    let lat: Vec<f64> = sides
+        .iter()
+        .flat_map(|s| s.lat_ms.iter().map(|&(_, ms)| ms))
+        .collect();
     let l = lat_summary(&lat);
     report.note(&format!(
         "latency: {} requests in a {window:.1} s window, {} beyond p99",
@@ -180,7 +205,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         .iter()
         .flat_map(|s| s.lat_ms.iter().map(|&(t, _)| (t, BATCH as u64)))
         .collect();
-    report.note(&format!("points over the whole window: {:.0}/s", points as f64 / window));
+    report.note(&format!(
+        "points over the whole window: {:.0}/s",
+        points as f64 / window
+    ));
     report.metric("points_per_s", windowed_rate(&done, window), "points/s");
     report.metric("requests_per_s", l.n as f64 / window, "req/s");
     report.metric("lat_p50_ms", l.p50, "ms");
@@ -208,7 +236,6 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
                     model: specs[b.model].name.clone(),
                     points: Arc::clone(&b.points),
                     kind: Kind::Moments,
-                    single: false,
                 },
             })
             .collect();

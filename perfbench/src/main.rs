@@ -1,7 +1,7 @@
 //! The repository benchmark harness. See `perfbench/README.md`.
 //!
 //! ```text
-//! perfbench --workload <hot_binary|mixed_ndjson|compile_churn|mc_yield>
+//! perfbench --workload <hot_binary|compile_churn|mc_yield>
 //!           --seed <n> --seconds <s> --trace <0|1> --awesym <path> --root <dir>
 //! ```
 //!
@@ -16,7 +16,6 @@ mod churn;
 mod gen;
 mod hot;
 mod mc;
-mod mixed;
 mod replay;
 mod report;
 mod serving;
@@ -48,7 +47,9 @@ fn parse_args() -> Result<Ctx, String> {
     };
     Ok(Ctx {
         workload: get("--workload")?,
-        seed: get("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?,
+        seed: get("--seed")?
+            .parse()
+            .map_err(|e| format!("bad --seed: {e}"))?,
         seconds: get("--seconds")?
             .parse()
             .map_err(|e| format!("bad --seconds: {e}"))?,
@@ -95,7 +96,9 @@ fn provenance(ctx: &Ctx) -> String {
 /// even where git metadata is absent.
 fn source_fingerprint(root: &std::path::Path) -> u64 {
     fn walk(dir: &std::path::Path, files: &mut Vec<std::path::PathBuf>) {
-        let Ok(rd) = std::fs::read_dir(dir) else { return };
+        let Ok(rd) = std::fs::read_dir(dir) else {
+            return;
+        };
         for e in rd.flatten() {
             let p = e.path();
             if p.is_dir() {
@@ -135,7 +138,6 @@ fn main() {
     report.note(&provenance(&ctx));
     let run = match ctx.workload.as_str() {
         "hot_binary" => hot::run(&ctx, &mut report),
-        "mixed_ndjson" => mixed::run(&ctx, &mut report),
         "compile_churn" => churn::run(&ctx, &mut report),
         "mc_yield" => mc::run(&ctx, &mut report),
         other => Err(format!("unknown workload {other}")),

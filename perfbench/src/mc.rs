@@ -39,7 +39,12 @@ fn summary_bits(s: &Summary) -> Vec<(&'static str, Option<u64>)> {
 
 fn report_bits(line: &Content) -> Vec<(&'static str, Option<u64>)> {
     let u = |k: &str| line.get(k).and_then(Content::as_u64);
-    let f = |k: &str| line.get(k).and_then(Content::as_f64).filter(|v| v.is_finite()).map(f64::to_bits);
+    let f = |k: &str| {
+        line.get(k)
+            .and_then(Content::as_f64)
+            .filter(|v| v.is_finite())
+            .map(f64::to_bits)
+    };
     vec![
         ("samples", u("samples")),
         ("valid", u("valid")),
@@ -85,15 +90,23 @@ fn job(ctx: &Ctx, workers: usize, chain: &GateChain) -> Result<Job, String> {
     let out = p.read_stdout();
     let exit = p.reap();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut lines = out.lines().map(|l| serde_json::from_str::<Content>(l).unwrap_or(Content::Null));
+    let mut lines = out
+        .lines()
+        .map(|l| serde_json::from_str::<Content>(l).unwrap_or(Content::Null));
     let head = lines.next().unwrap_or(Content::Null);
     let rep = lines.next().unwrap_or(Content::Null);
     let chain_ok = head.get("tape_ops").and_then(Content::as_u64) == Some(chain.op_count() as u64)
-        && head.get("nominal_delay_s").and_then(Content::as_f64).map(f64::to_bits)
+        && head
+            .get("nominal_delay_s")
+            .and_then(Content::as_f64)
+            .map(f64::to_bits)
             == Some(chain.nominal_delay().to_bits());
     Ok(Job {
         wall_ms,
-        engine_s: rep.get("wall_s").and_then(Content::as_f64).unwrap_or(f64::NAN),
+        engine_s: rep
+            .get("wall_s")
+            .and_then(Content::as_f64)
+            .unwrap_or(f64::NAN),
         rss_mb: exit.peak_rss_mb,
         ok: exit.success,
         summary: report_bits(&rep),
@@ -120,7 +133,11 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
         chain.op_count(),
         McConfig::DEFAULT_BLOCK
     ));
-    let window = if ctx.trace { ctx.seconds * 0.4 } else { ctx.seconds };
+    let window = if ctx.trace {
+        ctx.seconds * 0.4
+    } else {
+        ctx.seconds
+    };
     // The timed jobs run one worker: on a 2-vCPU guest the second worker's
     // speed-up swings between 1.1x and 2.3x from one job to the next, which
     // would bury any change to the engine. The --workers 2 jobs after them
@@ -156,11 +173,19 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
     ));
     report.metric(
         "samples_per_s_workers2",
-        median(&parallel.iter().map(|j| SAMPLES as f64 / j.engine_s).collect::<Vec<_>>()),
+        median(
+            &parallel
+                .iter()
+                .map(|j| SAMPLES as f64 / j.engine_s)
+                .collect::<Vec<_>>(),
+        ),
         "samples/s",
     );
     let wall: Vec<f64> = measured.iter().map(|j| j.wall_ms).collect();
-    let setup: Vec<f64> = measured.iter().map(|j| j.wall_ms / 1e3 - j.engine_s).collect();
+    let setup: Vec<f64> = measured
+        .iter()
+        .map(|j| j.wall_ms / 1e3 - j.engine_s)
+        .collect();
     let engine_total: f64 = measured.iter().map(|j| j.engine_s).sum();
     let l = lat_summary(&wall);
     report.note(&format!(
@@ -183,7 +208,11 @@ pub fn run(ctx: &Ctx, report: &mut Report) -> Result<(), String> {
     report.metric("requests_per_s", measured.len() as f64 / total_s, "req/s");
     report.metric("lat_p50_ms", l.p50, "ms");
     report.metric("lat_p99_ms", l.p99, "ms");
-    report.metric("peak_rss_mb", median(&measured.iter().map(|j| j.rss_mb).collect::<Vec<_>>()), "MiB");
+    report.metric(
+        "peak_rss_mb",
+        median(&measured.iter().map(|j| j.rss_mb).collect::<Vec<_>>()),
+        "MiB",
+    );
 
     if ctx.trace {
         trace_blocks(ctx, &chain, grid, deadline, report);
@@ -252,7 +281,13 @@ fn block(
     std::hint::black_box(total);
 }
 
-fn trace_blocks(ctx: &Ctx, chain: &GateChain, grid: QuantileGrid, deadline: f64, report: &mut Report) {
+fn trace_blocks(
+    ctx: &Ctx,
+    chain: &GateChain,
+    grid: QuantileGrid,
+    deadline: f64,
+    report: &mut Report,
+) {
     let mut worker = chain.make_worker();
     let mut acc = YieldAccumulator::new(grid, Some(deadline));
     let mut tr = Tracer::new(true);
@@ -266,7 +301,15 @@ fn trace_blocks(ctx: &Ctx, chain: &GateChain, grid: QuantileGrid, deadline: f64,
     };
     let mut b = 0u64;
     while b < 8 || (t0.elapsed().as_secs_f64() < budget * 0.7 && b < 4096) {
-        block(&mut tr, chain, &mut worker, &mut acc, spec(b), &mut out, true);
+        block(
+            &mut tr,
+            chain,
+            &mut worker,
+            &mut acc,
+            spec(b),
+            &mut out,
+            true,
+        );
         b += 1;
     }
     let table = tr.table();
@@ -282,7 +325,15 @@ fn trace_blocks(ctx: &Ctx, chain: &GateChain, grid: QuantileGrid, deadline: f64,
             let mut t = Tracer::new(on);
             let s0 = Instant::now();
             for i in 0..8 {
-                block(&mut t, chain, &mut worker, &mut acc, spec(i), &mut out, false);
+                block(
+                    &mut t,
+                    chain,
+                    &mut worker,
+                    &mut acc,
+                    spec(i),
+                    &mut out,
+                    false,
+                );
             }
             times[usize::from(on)] = s0.elapsed().as_secs_f64();
         }
@@ -302,7 +353,11 @@ fn trace_blocks(ctx: &Ctx, chain: &GateChain, grid: QuantileGrid, deadline: f64,
     let raw: usize = chain.stages().iter().map(|s| s.model.raw_op_count()).sum();
     report.metric("symbolic.kernel_ns_per_pt", per("timing.tape"), "ns");
     report.metric("symbolic.ops_per_pt", ops as f64, "count");
-    report.metric("symbolic.opt_ratio", ops as f64 / raw.max(1) as f64, "ratio");
+    report.metric(
+        "symbolic.opt_ratio",
+        ops as f64 / raw.max(1) as f64,
+        "ratio",
+    );
     report.metric("timing.rng_ns_per_sample", per("timing.rng"), "ns");
     report.metric("timing.tape_ns_per_sample", per("timing.tape"), "ns");
     report.metric("timing.metric_ns_per_sample", per("timing.metric"), "ns");

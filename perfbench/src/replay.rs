@@ -6,7 +6,7 @@
 use crate::check::Kind;
 use crate::gen::ModelSpec;
 use crate::report::Report;
-use crate::trace::{Table, Tracer, NO_PARENT};
+use crate::trace::{layer_metric, Table, Tracer, NO_PARENT};
 use crate::util::{median, quantile_sorted, sorted};
 use awesym_net::RecvBuf;
 use awesym_obs::now_ns;
@@ -20,12 +20,11 @@ use std::time::Instant;
 /// What a request asks for, as the replay needs to re-issue its parts.
 #[derive(Clone)]
 pub enum Op {
-    /// `batch` (or single-point `eval` when `single`).
+    /// `batch`.
     Eval {
         model: String,
         points: Arc<Vec<Vec<f64>>>,
         kind: Kind,
-        single: bool,
     },
     Compile(Box<ModelSpec>),
 }
@@ -56,6 +55,9 @@ pub struct Replay {
     pub op_points: (u64, u64),
     /// op_count / raw_op_count of each compiled model.
     pub opt_ratios: Vec<f64>,
+    /// Whether the next batch replays `WorkerPool::run_batch` before its
+    /// parent `Shard::evaluate` rather than after it.
+    pool_first: bool,
 }
 
 impl Replay {
@@ -67,6 +69,7 @@ impl Replay {
             out: Vec::with_capacity(1 << 16),
             op_points: (0, 0),
             opt_ratios: Vec::new(),
+            pool_first: false,
         }
     }
 
@@ -130,8 +133,7 @@ impl Replay {
                 model,
                 points,
                 kind,
-                single,
-            } => self.eval_children(eid, model, points, *kind, *single, req.binary),
+            } => self.eval_children(eid, model, points, *kind, req.binary),
             Op::Compile(spec) => self.compile_children(eid, spec),
         }
     }
@@ -142,7 +144,6 @@ impl Replay {
         name: &str,
         points: &Arc<Vec<Vec<f64>>>,
         kind: Kind,
-        single: bool,
         binary: bool,
     ) {
         let n = points.len() as u64;
@@ -152,16 +153,38 @@ impl Replay {
         };
         self.op_points.0 += model.op_count() as u64 * n;
         self.op_points.1 += n;
+        // Whichever of `Shard::evaluate` and its `run_batch` child runs
+        // second allocates while the first one's results are alive, which
+        // costs it page faults. Alternating the order per batch splits that
+        // cost evenly between parent and child.
+        let pool_first = self.pool_first;
+        self.pool_first = !pool_first;
         let tr = &mut self.tracer;
+        let pool = |tr: &mut Tracer| {
+            let pid = tr.open("serve.pool", NO_PARENT, n);
+            let pooled = shard.pool().run_batch(
+                Arc::clone(&model),
+                Arc::clone(points),
+                kind.output(),
+                None,
+                None,
+            );
+            tr.close(pid);
+            (pid, pooled)
+        };
+        let early = pool_first.then(|| pool(tr));
         let vid = tr.open("serve.evaluate", eid, n);
-        let outcome = shard.evaluate(Arc::clone(&model), Arc::clone(points), kind.output(), None, None);
+        let outcome = shard.evaluate(
+            Arc::clone(&model),
+            Arc::clone(points),
+            kind.output(),
+            None,
+            None,
+        );
         tr.close(vid);
-        let pid = tr.open("serve.pool", vid, n);
-        let pooled = shard
-            .pool()
-            .run_batch(Arc::clone(&model), Arc::clone(points), kind.output(), None, None);
-        tr.close(pid);
-        std::hint::black_box(pooled);
+        let (pid, pooled) = early.unwrap_or_else(|| pool(tr));
+        tr.set_parent(pid, vid);
+        drop(pooled);
         let ev = model.evaluator();
         let cols = ev.n_outputs();
         let mut moments = vec![0.0; points.len() * cols];
@@ -177,16 +200,10 @@ impl Replay {
         if kind != Kind::Moments {
             let aid = tr.open("awe.post", pid, n);
             for m in moments.chunks_exact(cols) {
-                match kind {
-                    Kind::DcGain => {
-                        std::hint::black_box(m[0]);
-                    }
-                    Kind::Delays => {
-                        std::hint::black_box(awesym_awe::delay_estimates(m).ok());
-                    }
-                    _ => {
-                        std::hint::black_box(model.rom_from_moments(m).ok());
-                    }
+                if kind == Kind::Delays {
+                    std::hint::black_box(awesym_awe::delay_estimates(m).ok());
+                } else {
+                    std::hint::black_box(model.rom_from_moments(m).ok());
                 }
             }
             tr.close(aid);
@@ -195,44 +212,25 @@ impl Replay {
             return;
         };
         let mut buf = Vec::with_capacity(self.out.len());
-        let (name, body) = if single {
-            let result = outcome
-                .results
-                .first()
-                .and_then(|r| r.as_ref().ok())
-                .map_or(Content::Null, awesym_serve::encode::point_value_content);
-            (
-                "serve.encode.ndjson",
-                ResponseBody::Fields(vec![("ok", Content::Bool(true)), ("result", result)]),
-            )
+        let ok_count = outcome.results.iter().filter(|r| r.is_ok()).count() as u64;
+        let body = ResponseBody::Batch(BatchBody {
+            head: vec![
+                ("ok", Content::Bool(true)),
+                ("count", Content::U64(n)),
+                ("ok_count", Content::U64(ok_count)),
+            ],
+            id: None,
+            results: outcome.results,
+            cols: cols_of(kind, cols),
+            ok_count,
+            elapsed_ns: 0,
+            deadline_exceeded: false,
+            deadline: None,
+        });
+        let (name, enc) = if binary {
+            ("serve.encode.binary", WireEncoding::BinaryV1)
         } else {
-            let ok_count = outcome.results.iter().filter(|r| r.is_ok()).count() as u64;
-            (
-                if binary {
-                    "serve.encode.binary"
-                } else {
-                    "serve.encode.ndjson"
-                },
-                ResponseBody::Batch(BatchBody {
-                    head: vec![
-                        ("ok", Content::Bool(true)),
-                        ("count", Content::U64(n)),
-                        ("ok_count", Content::U64(ok_count)),
-                    ],
-                    id: None,
-                    results: outcome.results,
-                    cols: if kind == Kind::Rom { 0 } else { cols_of(kind, cols) },
-                    ok_count,
-                    elapsed_ns: 0,
-                    deadline_exceeded: false,
-                    deadline: None,
-                }),
-            )
-        };
-        let enc = if binary {
-            WireEncoding::BinaryV1
-        } else {
-            WireEncoding::Ndjson
+            ("serve.encode.ndjson", WireEncoding::Ndjson)
         };
         let cid = tr.open(name, eid, n);
         let _ = encoder_for(enc).encode_response(&body, &mut buf);
@@ -245,22 +243,26 @@ impl Replay {
         let circuit = awesym_circuit::parse_spice(&spec.netlist);
         tr.close(cid);
         let Ok(circuit) = circuit else { return };
-        let (Some(input), Some(output)) = (circuit.find(&spec.input), circuit.find_node(&spec.output))
+        let (Some(input), Some(output)) =
+            (circuit.find(&spec.input), circuit.find_node(&spec.output))
         else {
             return;
         };
-        let Ok(bindings) = awesym_serve::resolve::resolve_symbol_specs(&circuit, &spec.symbols) else {
+        let Ok(bindings) = awesym_serve::resolve::resolve_symbol_specs(&circuit, &spec.symbols)
+        else {
             return;
         };
         let bid = tr.open("partition.compile", eid, 1);
-        let model = awesym_partition::CompiledModel::build(&circuit, input, output, &bindings, spec.order);
+        let model =
+            awesym_partition::CompiledModel::build(&circuit, input, output, &bindings, spec.order);
         tr.close(bid);
         let mid = tr.open("mna.build", bid, 1);
         let mna = awesym_mna::Mna::build(&circuit);
         tr.close(mid);
         std::hint::black_box(mna.ok());
         if let Ok(m) = model {
-            self.opt_ratios.push(m.op_count() as f64 / m.raw_op_count().max(1) as f64);
+            self.opt_ratios
+                .push(m.op_count() as f64 / m.raw_op_count().max(1) as f64);
         }
     }
 
@@ -292,7 +294,6 @@ impl Replay {
 fn cols_of(kind: Kind, moments: usize) -> usize {
     match kind {
         Kind::Moments => moments,
-        Kind::DcGain => 1,
         Kind::Delays => 4,
         Kind::Rom => 0,
     }
@@ -363,22 +364,97 @@ pub fn run_and_report(
         }
     }
     let engine = table.get("serve.engine");
-    report.metric("net.scan_ns_per_msg", table.get("net.scan").self_per_unit(), "ns");
-    report.metric("net.decode_ns_per_pt", table.get("net.decode").self_per_unit(), "ns");
+    report.metric(
+        "net.scan_ns_per_msg",
+        table.get("net.scan").self_per_unit(),
+        "ns",
+    );
+    report.metric(
+        "net.decode_ns_per_pt",
+        table.get("net.decode").self_per_unit(),
+        "ns",
+    );
     report.metric("net.transport_us_per_req", transport_us, "us");
-    report.metric("serve.parse_ns_per_pt", table.get("serve.parse").self_per_unit(), "ns");
-    report.metric("serve.engine_self_us_per_req", engine.self_per_call() / 1e3, "us");
-    report.metric("serve.admit_us_per_req", table.get("serve.evaluate").self_per_call() / 1e3, "us");
-    report.metric("serve.pool_ns_per_pt", table.get("serve.pool").self_per_unit(), "ns");
-    report.metric("serve.encode_binary_ns_per_pt", table.get("serve.encode.binary").self_per_unit(), "ns");
-    report.metric("serve.encode_ndjson_ns_per_pt", table.get("serve.encode.ndjson").self_per_unit(), "ns");
-    report.metric("symbolic.kernel_ns_per_pt", table.get("symbolic.kernel").self_per_unit(), "ns");
+    report.metric(
+        "serve.parse_ns_per_pt",
+        table.get("serve.parse").self_per_unit(),
+        "ns",
+    );
+    layer_metric(
+        report,
+        &table,
+        "serve.engine_self_us_per_req",
+        "serve.engine",
+        engine.self_per_call() / 1e3,
+        "us",
+    );
+    let admit = table.get("serve.evaluate").self_per_call() / 1e3;
+    layer_metric(
+        report,
+        &table,
+        "serve.admit_us_per_req",
+        "serve.evaluate",
+        admit,
+        "us",
+    );
+    let pool = table.get("serve.pool").self_per_unit();
+    layer_metric(
+        report,
+        &table,
+        "serve.pool_ns_per_pt",
+        "serve.pool",
+        pool,
+        "ns",
+    );
+    report.metric(
+        "serve.encode_binary_ns_per_pt",
+        table.get("serve.encode.binary").self_per_unit(),
+        "ns",
+    );
+    report.metric(
+        "serve.encode_ndjson_ns_per_pt",
+        table.get("serve.encode.ndjson").self_per_unit(),
+        "ns",
+    );
+    report.metric(
+        "symbolic.kernel_ns_per_pt",
+        table.get("symbolic.kernel").self_per_unit(),
+        "ns",
+    );
     let (ops, pts) = rp.op_points;
-    report.metric("symbolic.ops_per_pt", if pts == 0 { 0.0 } else { ops as f64 / pts as f64 }, "count");
-    report.metric("awe.post_ns_per_pt", table.get("awe.post").self_per_unit(), "ns");
-    report.metric("circuit.parse_ms", table.get("circuit.parse").self_per_call() / 1e6, "ms");
-    report.metric("mna.build_ms", table.get("mna.build").self_per_call() / 1e6, "ms");
-    report.metric("partition.compile_ms", table.get("partition.compile").self_per_call() / 1e6, "ms");
+    report.metric(
+        "symbolic.ops_per_pt",
+        if pts == 0 {
+            0.0
+        } else {
+            ops as f64 / pts as f64
+        },
+        "count",
+    );
+    report.metric(
+        "awe.post_ns_per_pt",
+        table.get("awe.post").self_per_unit(),
+        "ns",
+    );
+    report.metric(
+        "circuit.parse_ms",
+        table.get("circuit.parse").self_per_call() / 1e6,
+        "ms",
+    );
+    report.metric(
+        "mna.build_ms",
+        table.get("mna.build").self_per_call() / 1e6,
+        "ms",
+    );
+    let compile = table.get("partition.compile").self_per_call() / 1e6;
+    layer_metric(
+        report,
+        &table,
+        "partition.compile_ms",
+        "partition.compile",
+        compile,
+        "ms",
+    );
     if !rp.opt_ratios.is_empty() {
         report.metric("symbolic.opt_ratio", median(&rp.opt_ratios), "ratio");
     }

@@ -15,7 +15,7 @@ pub const END_TO_END: [(&str, &str); 4] = [
 
 /// Per-layer metrics every traced run reports; a layer a workload never
 /// reaches reads 0.
-pub const PER_LAYER: [(&str, &str); 25] = [
+pub const PER_LAYER: [(&str, &str); 24] = [
     ("net.scan_ns_per_msg", "ns"),
     ("net.decode_ns_per_pt", "ns"),
     ("net.transport_us_per_req", "us"),
@@ -40,7 +40,6 @@ pub const PER_LAYER: [(&str, &str); 25] = [
     ("timing.accum_ns_per_sample", "ns"),
     ("bench.unattributed_pct", "%"),
     ("bench.trace_overhead_pct", "%"),
-    ("bench.gen_late_p99_ms", "ms"),
 ];
 
 #[derive(Default)]
@@ -57,7 +56,8 @@ pub struct Report {
 impl Report {
     pub fn metric(&mut self, name: &str, value: f64, unit: &str) {
         println!("metric {name} = {value} {unit}");
-        self.metrics.push((name.to_string(), value, unit.to_string()));
+        self.metrics
+            .push((name.to_string(), value, unit.to_string()));
     }
 
     pub fn note(&self, line: &str) {

@@ -163,7 +163,10 @@ pub fn start_median(
     }
     report.note(&format!(
         "setup: {reps} starts to ready, seconds {:?}",
-        times.iter().map(|t| (t * 1e4).round() / 1e4).collect::<Vec<_>>()
+        times
+            .iter()
+            .map(|t| (t * 1e4).round() / 1e4)
+            .collect::<Vec<_>>()
     ));
     report.metric("setup_s", median(&times), "s");
     last.ok_or_else(|| "no server started".into())
@@ -197,7 +200,11 @@ pub struct ServerFacts {
 
 pub fn facts(stats: &Content) -> ServerFacts {
     let srv = stats.get("server");
-    let u = |k: &str| srv.and_then(|s| s.get(k)).and_then(Content::as_u64).unwrap_or(0);
+    let u = |k: &str| {
+        srv.and_then(|s| s.get(k))
+            .and_then(Content::as_u64)
+            .unwrap_or(0)
+    };
     let mut stages = BTreeMap::new();
     for s in srv
         .and_then(|s| s.get("stages"))
@@ -215,15 +222,19 @@ pub fn facts(stats: &Content) -> ServerFacts {
         }
     }
     let (mut hits, mut lookups, mut prom, mut dem) = (0, 0, 0, 0);
-    for sh in stats
-        .get("shards")
-        .and_then(Content::as_seq)
-        .unwrap_or(&[])
-    {
+    for sh in stats.get("shards").and_then(Content::as_seq).unwrap_or(&[]) {
         let reg = sh.get("registry");
         let warm = reg.and_then(|r| r.get("warm"));
-        let w = |k: &str| warm.and_then(|r| r.get(k)).and_then(Content::as_u64).unwrap_or(0);
-        let r = |k: &str| reg.and_then(|r| r.get(k)).and_then(Content::as_u64).unwrap_or(0);
+        let w = |k: &str| {
+            warm.and_then(|r| r.get(k))
+                .and_then(Content::as_u64)
+                .unwrap_or(0)
+        };
+        let r = |k: &str| {
+            reg.and_then(|r| r.get(k))
+                .and_then(Content::as_u64)
+                .unwrap_or(0)
+        };
         hits += w("hits");
         lookups += w("hits") + w("misses");
         prom += r("promotions");

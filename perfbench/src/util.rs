@@ -45,11 +45,6 @@ impl Rng {
     pub fn factor(&mut self, span: f64) -> f64 {
         self.log_uniform(1.0 / span, span)
     }
-
-    /// Exponential inter-arrival time for a Poisson process of `rate`/s.
-    pub fn exp_secs(&mut self, rate: f64) -> f64 {
-        -(1.0 - self.f64()).ln() / rate
-    }
 }
 
 /// Sorted copy of `v`.
@@ -161,7 +156,11 @@ impl Proc {
         cmd.args(args)
             .env_remove("AWESYM_TAPE_FMA")
             .stdin(Stdio::null())
-            .stdout(if stdout { Stdio::piped() } else { Stdio::null() })
+            .stdout(if stdout {
+                Stdio::piped()
+            } else {
+                Stdio::null()
+            })
             .stderr(Stdio::piped());
         let mut child = cmd.spawn()?;
         let stderr = child.stderr.take().map(BufReader::new);

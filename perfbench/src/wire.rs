@@ -1,5 +1,5 @@
 //! Client side of the socket protocol: request encoding, response
-//! framing (NDJSON lines and self-delimiting `AWSB` frames), and `poll`.
+//! framing (NDJSON lines and self-delimiting `AWSB` frames).
 
 use awesym_net::{encode_request, RequestFrame, RequestKind};
 use serde::Content;
@@ -130,7 +130,12 @@ impl Conn {
 
 /// Builds an NDJSON request line from ordered fields.
 pub fn json_line(fields: Vec<(&str, Content)>) -> String {
-    let map = Content::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
+    let map = Content::Map(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    );
     serde_json::to_string(&map).expect("serialize request")
 }
 
@@ -160,35 +165,4 @@ pub fn moments_frame(model: &str, points: &[Vec<f64>]) -> Vec<u8> {
     )
     .expect("encode request frame");
     out
-}
-
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-}
-
-/// Waits up to `timeout_ms` for any of `fds` to become readable; returns
-/// one readiness flag per fd.
-pub fn poll_readable(fds: &[i32], timeout_ms: i32) -> Vec<bool> {
-    let mut p: Vec<PollFd> = fds
-        .iter()
-        .map(|&fd| PollFd {
-            fd,
-            events: 1,
-            revents: 0,
-        })
-        .collect();
-    // SAFETY: `p` is a valid, exclusively borrowed array of `p.len()`
-    // pollfd structs for the duration of the call.
-    let r = unsafe { poll(p.as_mut_ptr(), p.len() as u64, timeout_ms) };
-    if r <= 0 {
-        return vec![false; fds.len()];
-    }
-    p.iter().map(|f| f.revents != 0).collect()
 }
