@@ -6,12 +6,13 @@
 //! cargo run --release -p awesym-bench --bin net_bench -- --reps 25
 //! ```
 //!
-//! Both paths are measured at the exact point the socket front end runs
-//! them on a complete message: `serde_json::from_str` on the request
-//! line, `awesym_net::decode_request` on the frame. The frame decodes to
-//! the same request [`Content`] the line parses to (that equivalence is
-//! what the loopback suite pins bit-for-bit), so this is a pure
-//! decode-cost comparison on identical requests.
+//! Both paths are measured on a complete message as the socket front end
+//! receives it: `serde_json::from_str` on the request line,
+//! `awesym_net::decode_request` on the frame. The frame decodes to the
+//! same typed `Request` the line parses to (that equivalence is what the
+//! loopback suite pins bit-for-bit). The NDJSON side times only the JSON
+//! parse, not the conversion of the parsed value into a `Request`, so
+//! its measured cost is a lower bound and the speedup gate errs strict.
 //!
 //! Emits `results/BENCH_net.json` plus a console table. `bench_gate`
 //! enforces the headline `decode_speedup_min`: the binary request path
@@ -20,6 +21,7 @@
 
 use awesym_bench::time_median;
 use awesym_net::{decode_request, encode_request, RequestFrame, RequestKind};
+use awesym_serve::{Command, Request};
 use serde::Content;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -104,13 +106,17 @@ fn run_case(count: usize, syms: usize, reps: usize) -> CaseResult {
     let points = make_points(count, syms);
     let line = json_line(&points);
     let frame = frame_bytes(&points);
-    // Sanity outside the timed loops: the two decodes agree on the
-    // payload (same row-major points, same kind).
+    // Sanity outside the timed loops: the frame's typed points equal the
+    // line's `points` bit for bit.
+    let bits = |req: Request| match req.command {
+        Command::Batch(b) => b.points.into_iter().flatten().map(f64::to_bits).collect(),
+        other => panic!("not a batch request: {other:?}"),
+    };
     let from_line: Content = serde_json::from_str(&line).expect("parse line");
-    let from_frame = decode_request(&frame).expect("decode frame");
+    let from_line: Vec<u64> = bits(Request::from_content(&from_line).expect("line request"));
+    let from_frame = bits(decode_request(&frame).expect("decode frame"));
     assert_eq!(
-        serde_json::to_string(from_line.get("points").expect("line points")).ok(),
-        serde_json::to_string(from_frame.get("points").expect("frame points")).ok(),
+        from_line, from_frame,
         "decoded points diverge at {count}x{syms}"
     );
     let ndjson_secs = time_median(reps, || {

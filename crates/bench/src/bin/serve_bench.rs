@@ -1,5 +1,6 @@
-//! Serving-runtime benchmark: single-point evaluation vs. `evaluate_batch`
-//! throughput at 1/2/4/8 workers on the Table 1 workloads.
+//! Serving-runtime benchmark: single-point evaluation vs. batch
+//! throughput through the persistent `WorkerPool` at 1/2/4/8 workers on
+//! the Table 1 workloads.
 //!
 //! ```text
 //! cargo run --release -p awesym-bench --bin serve_bench
@@ -11,9 +12,7 @@
 //! (batch amortization and worker speedup over the serial path).
 
 use awesym_bench::{lines_workload, opamp_workload, time_median};
-use awesym_serve::{
-    decode_frame, evaluate_batch, BatchOutput, PoolConfig, Server, ServerConfig, WorkerPool,
-};
+use awesym_serve::{decode_frame, BatchOutput, PoolConfig, Server, ServerConfig, WorkerPool};
 use awesymbolic::CompiledModel;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -65,16 +64,11 @@ fn run_case(case: &Case, reps: usize) -> CaseResult {
             std::hint::black_box(case.model.eval_moments(p));
         }
     });
+    let model = Arc::new(case.model.clone());
+    let points = Arc::new(case.points.clone());
     let batch = WORKER_COUNTS
         .iter()
-        .map(|&w| {
-            let secs = time_median(reps, || {
-                let out = evaluate_batch(&case.model, &case.points, &BatchOutput::Moments, Some(w));
-                assert!(out.iter().all(Result::is_ok), "batch eval failed");
-                std::hint::black_box(out);
-            });
-            (w, secs)
-        })
+        .map(|&w| (w, time_pool(w, &model, &points, reps)))
         .collect();
     println!(
         "{}: {n} points, serial {:.1} ms",
@@ -226,13 +220,44 @@ struct PoolResult {
     runs: Vec<PoolRun>,
 }
 
-/// Times a 1200-point batch through the persistent `WorkerPool` at each
-/// worker count, against the same pool's own 1-worker time. Unlike the
-/// per-case `evaluate_batch` numbers (which pay thread spawn per batch),
-/// this measures the steady-state fleet path: workers stay parked on the
-/// queue between batches, so the speedup curve is what a serving shard
-/// actually sees. `host_cpus` is recorded so the gate can apply a
-/// core-count-aware scaling floor instead of demanding 4x from a laptop.
+/// Median seconds for one `points` batch through a fresh `workers`-thread
+/// `WorkerPool`, timed after a warm-up pass that parks every worker on
+/// the queue — the steady state a serving shard sees.
+fn time_pool(
+    workers: usize,
+    model: &Arc<CompiledModel>,
+    points: &Arc<Vec<Vec<f64>>>,
+    reps: usize,
+) -> f64 {
+    let pool = WorkerPool::new(
+        0,
+        PoolConfig {
+            workers,
+            ..PoolConfig::default()
+        },
+    );
+    let run = || {
+        pool.run_batch(
+            Arc::clone(model),
+            Arc::clone(points),
+            BatchOutput::Moments,
+            None,
+            None,
+        )
+    };
+    assert!(
+        run().results.iter().all(Result::is_ok),
+        "pool batch failed at {workers} workers"
+    );
+    time_median(reps, || {
+        std::hint::black_box(run().results.len());
+    })
+}
+
+/// Times a 1200-point batch through the `WorkerPool` at each worker
+/// count, against the same pool's own 1-worker time. `host_cpus` is
+/// recorded so the gate can apply a core-count-aware scaling floor
+/// instead of demanding 4x from a laptop.
 fn run_pool_scaling(model: &CompiledModel, reps: usize) -> PoolResult {
     let batch_points = 1200usize;
     let model = Arc::new(model.clone());
@@ -241,35 +266,7 @@ fn run_pool_scaling(model: &CompiledModel, reps: usize) -> PoolResult {
     let mut runs: Vec<PoolRun> = Vec::new();
     let mut base_secs = f64::NAN;
     for &w in &WORKER_COUNTS {
-        let pool = WorkerPool::new(
-            0,
-            PoolConfig {
-                workers: w,
-                ..PoolConfig::default()
-            },
-        );
-        // Warm-up pass parks every worker on the queue before timing.
-        let warm = pool.run_batch(
-            Arc::clone(&model),
-            Arc::clone(&points),
-            BatchOutput::Moments,
-            None,
-            None,
-        );
-        assert!(
-            warm.results.iter().all(Result::is_ok),
-            "pool batch failed at {w} workers"
-        );
-        let secs = time_median(reps, || {
-            let out = pool.run_batch(
-                Arc::clone(&model),
-                Arc::clone(&points),
-                BatchOutput::Moments,
-                None,
-                None,
-            );
-            std::hint::black_box(out.results.len());
-        });
+        let secs = time_pool(w, &model, &points, reps);
         if w == 1 {
             base_secs = secs;
         }

@@ -71,7 +71,7 @@ pub use awesym_partition::{
 };
 pub use awesym_serve::{
     evaluate_batch, load_artifact, save_artifact, BatchOutput, ModelRegistry, PointValue,
-    ServeError, Server,
+    PoolConfig, ServeError, Server, WorkerPool,
 };
 pub use awesym_symbolic::{
     AffineTail, CompileOptions, CompiledFn, Evaluator, ExprGraph, MPoly, OptLevel, Ratio, SymbolSet,

@@ -4,11 +4,13 @@
 //! (`AWSB`): little-endian, length-computable from a fixed-size header,
 //! and columnar — each symbol's value for every point is contiguous —
 //! so a hot client can hand the server a batch without ever producing
-//! JSON text. The frame decodes into exactly the request [`Content`]
-//! the equivalent JSON line would parse to (including
-//! `"encoding":"binary-v1"`, so the response comes back binary too),
-//! which is what makes the socket path bit-identical to the stdin path
-//! by construction.
+//! JSON text. The frame decodes straight into the typed
+//! [`awesym_serve::Request`] the equivalent JSON line parses to
+//! (including `"encoding":"binary-v1"`, so the response comes back
+//! binary too), which is what makes the socket path bit-identical to the
+//! stdin path by construction. Only the optional id section is JSON; the
+//! points go from the payload into `Vec<f64>` rows without any
+//! intermediate value tree.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -33,8 +35,13 @@
 //! the property [`crate::reader::RecvBuf`] relies on. The `rom` output
 //! kind is deliberately unrepresentable: it has no fixed-width binary
 //! response layout, matching the response-side rule.
+//!
+//! Decoding allocates in proportion to the bytes received, never to the
+//! counts a header declares: a frame with points but zero symbols per
+//! point (which no compiled model accepts — every model has at least one
+//! symbol) is refused before anything is allocated for its points.
 
-use serde::Content;
+use awesym_serve::{BatchOutput, BatchRequest, Command, Request, WireEncoding};
 use serde_json::Value;
 use std::fmt;
 
@@ -151,6 +158,12 @@ pub enum RequestFrameError {
     TimesWithoutStep,
     /// `step` kind with an empty times section.
     StepWithoutTimes,
+    /// Points declared with zero symbols each (no model accepts them, and
+    /// their count would be unbounded by the bytes received).
+    ZeroSymbols {
+        /// Declared point count.
+        count: usize,
+    },
     /// Bytes past the end of the frame.
     TrailingBytes(usize),
     /// Section lengths overflow a usize (hostile header).
@@ -198,6 +211,11 @@ impl fmt::Display for RequestFrameError {
             RequestFrameError::StepWithoutTimes => {
                 write!(f, "kind 'step' requires a non-empty times section")
             }
+            RequestFrameError::ZeroSymbols { count } => write!(
+                f,
+                "{count} points declared with 0 symbols per point \
+                 (every model has at least one symbol)"
+            ),
             RequestFrameError::TrailingBytes(n) => {
                 write!(f, "{n} bytes past the end of the request frame")
             }
@@ -354,19 +372,20 @@ pub fn encode_request(req: &RequestFrame<'_>, out: &mut Vec<u8>) -> Result<(), R
     Ok(())
 }
 
-/// Decodes a complete binary-v1 request frame into the request
-/// [`Content`] the equivalent JSON line parses to — `cmd`, `model`,
-/// `points` (row-major), `kind`, `"encoding":"binary-v1"`, and the
-/// optional `times`/`deadline_ms`/`workers`/`id` fields. Handing that
-/// to the engine makes the binary path's responses byte-identical to
-/// the JSON path's by construction.
+/// Decodes a complete binary-v1 request frame into the typed
+/// [`Request`] the equivalent JSON line parses to: a `batch` command with
+/// `encoding` binary-v1, the payload's points as rows, the kind's output
+/// (with `times` for `step`), and the optional `deadline_ms`, `workers`
+/// and `id`. Handing that to the engine makes the binary path's
+/// responses byte-identical to the JSON path's by construction.
 ///
 /// # Errors
 ///
 /// A typed [`RequestFrameError`] naming the first violated layout rule;
 /// validation order is header (truncation, magic, version, flags, kind,
-/// reserved) → exact length → name UTF-8 → id JSON.
-pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
+/// reserved) → exact length → times/kind agreement → points without
+/// symbols → name UTF-8 → id JSON.
+pub fn decode_request(buf: &[u8]) -> Result<Request, RequestFrameError> {
     let total = request_frame_len(buf)?;
     if buf.len() < total {
         return Err(RequestFrameError::Truncated {
@@ -397,11 +416,16 @@ pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
     if kind == RequestKind::Step && times_count == 0 {
         return Err(RequestFrameError::StepWithoutTimes);
     }
+    // With at least one symbol per point, the point count is bounded by
+    // the payload bytes already received.
+    if syms == 0 && count > 0 {
+        return Err(RequestFrameError::ZeroSymbols { count });
+    }
     let mut off = REQUEST_HEADER_LEN;
     let name =
         std::str::from_utf8(&buf[off..off + name_len]).map_err(|_| RequestFrameError::BadName)?;
     off += name_len;
-    let id: Option<Content> = if flags & FLAG_HAS_ID != 0 {
+    let id = if flags & FLAG_HAS_ID != 0 {
         let text =
             std::str::from_utf8(&buf[off..off + id_len]).map_err(|_| RequestFrameError::BadId)?;
         Some(serde_json::from_str::<Value>(text).map_err(|_| RequestFrameError::BadId)?)
@@ -409,50 +433,39 @@ pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
         None
     };
     off += id_len;
-    let f64_at = |buf: &[u8], off: usize| {
+    let f64_at = |at: usize| {
         let mut b = [0u8; 8];
-        b.copy_from_slice(&buf[off..off + 8]);
+        b.copy_from_slice(&buf[at..at + 8]);
         f64::from_le_bytes(b)
     };
-    let times: Vec<Content> = (0..times_count)
-        .map(|i| Content::F64(f64_at(buf, off + 8 * i)))
-        .collect();
+    let times: Vec<f64> = (0..times_count).map(|i| f64_at(off + 8 * i)).collect();
     off += 8 * times_count;
-    // Transpose the columnar payload back to the row-major `points`
-    // array the engine expects.
-    let mut points: Vec<Vec<Content>> = (0..count).map(|_| Vec::with_capacity(syms)).collect();
-    for s in 0..syms {
-        let col = off + 8 * s * count;
-        for (i, p) in points.iter_mut().enumerate() {
-            p.push(Content::F64(f64_at(buf, col + 8 * i)));
-        }
-    }
-    let mut fields: Vec<(String, Content)> = vec![
-        ("cmd".to_string(), Content::Str("batch".to_string())),
-        ("model".to_string(), Content::Str(name.to_string())),
-        (
-            "points".to_string(),
-            Content::Seq(points.into_iter().map(Content::Seq).collect()),
-        ),
-        ("kind".to_string(), Content::Str(kind.as_str().to_string())),
-        (
-            "encoding".to_string(),
-            Content::Str("binary-v1".to_string()),
-        ),
-    ];
-    if kind == RequestKind::Step {
-        fields.push(("times".to_string(), Content::Seq(times)));
-    }
-    if flags & FLAG_HAS_DEADLINE != 0 {
-        fields.push(("deadline_ms".to_string(), Content::U64(deadline_ms)));
-    }
-    if workers != 0 {
-        fields.push(("workers".to_string(), Content::U64(u64::from(workers))));
-    }
-    if let Some(id) = id {
-        fields.push(("id".to_string(), id));
-    }
-    Ok(Content::Map(fields))
+    let output = match kind {
+        RequestKind::Moments => BatchOutput::Moments,
+        RequestKind::DcGain => BatchOutput::DcGain,
+        RequestKind::Delays => BatchOutput::Delays,
+        RequestKind::Step => BatchOutput::Step { times },
+    };
+    // Gather the columnar payload into the row-per-point layout the
+    // engine evaluates.
+    let points: Vec<Vec<f64>> = (0..count)
+        .map(|i| {
+            (0..syms)
+                .map(|s| f64_at(off + 8 * (s * count + i)))
+                .collect()
+        })
+        .collect();
+    Ok(Request {
+        id: id.filter(|id| !id.is_null()),
+        command: Command::Batch(BatchRequest {
+            model: name.to_string(),
+            points,
+            output,
+            deadline_ms: (flags & FLAG_HAS_DEADLINE != 0).then_some(deadline_ms),
+            workers: (workers != 0).then_some(workers as usize),
+            encoding: WireEncoding::BinaryV1,
+        }),
+    })
 }
 
 #[cfg(test)]
@@ -505,48 +518,54 @@ mod tests {
 
     #[test]
     fn roundtrip_matches_equivalent_json_request() {
-        let mut out = Vec::new();
-        encode_request(
-            &RequestFrame {
-                model: "alpha",
-                points: &[vec![1e-9, 1e3], vec![2e-9, 2e3]],
-                kind: RequestKind::Step,
-                times: &[1e-9, 2e-9, 5e-9],
-                deadline_ms: Some(0),
-                workers: Some(2),
-                id: Some("42"),
-            },
-            &mut out,
-        )
-        .unwrap();
-        let decoded = decode_request(&out).unwrap();
-        let json: Content = serde_json::from_str(
-            r#"{"cmd":"batch","model":"alpha","points":[[1e-9,1e3],[2e-9,2e3]],
-                "kind":"step","encoding":"binary-v1","times":[1e-9,2e-9,5e-9],
-                "deadline_ms":0,"workers":2,"id":42}"#,
-        )
-        .unwrap();
-        for key in ["cmd", "model", "kind", "encoding", "deadline_ms", "workers"] {
-            assert_eq!(
-                serde_json::to_string(decoded.get(key).unwrap()).unwrap(),
-                serde_json::to_string(json.get(key).unwrap()).unwrap(),
-                "{key}"
+        let points = [vec![1e-9, 1e3], vec![2.5e-9, 2e3], vec![3e-9, 1234.5]];
+        for kind in [
+            RequestKind::Moments,
+            RequestKind::DcGain,
+            RequestKind::Delays,
+            RequestKind::Step,
+        ] {
+            let times: &[f64] = if kind == RequestKind::Step {
+                &[1e-9, 2e-9, 5e-9]
+            } else {
+                &[]
+            };
+            let mut out = Vec::new();
+            encode_request(
+                &RequestFrame {
+                    model: "alpha",
+                    points: &points,
+                    kind,
+                    times,
+                    deadline_ms: Some(0),
+                    workers: Some(2),
+                    id: Some(r#"{"corr":[42,"x"]}"#),
+                },
+                &mut out,
+            )
+            .unwrap();
+            let times_field = if times.is_empty() {
+                String::new()
+            } else {
+                r#","times":[1e-9,2e-9,5e-9]"#.to_string()
+            };
+            let line = format!(
+                r#"{{"cmd":"batch","model":"alpha","points":[[1e-9,1e3],[2.5e-9,2000],[3e-9,1234.5]],
+                    "kind":"{}","encoding":"binary-v1"{times_field},"deadline_ms":0,"workers":2,
+                    "id":{{"corr":[42,"x"]}}}}"#,
+                kind.as_str()
             );
-        }
-        // Numeric fields compare by f64 value (JSON integers parse as
-        // U64, binary floats as F64 — the engine's as_f64/as_u64 views
-        // treat them identically).
-        assert_eq!(
-            decoded.get("id").and_then(Content::as_u64),
-            json.get("id").and_then(Content::as_u64)
-        );
-        for key in ["points", "times"] {
-            let (d, j) = (decoded.get(key).unwrap(), json.get(key).unwrap());
-            assert_eq!(
-                serde_json::to_string(d).unwrap(),
-                serde_json::to_string(j).unwrap(),
-                "{key}"
-            );
+            let from_line = Request::from_content(&serde_json::from_str(&line).unwrap()).unwrap();
+            let from_frame = decode_request(&out).unwrap();
+            assert_eq!(from_frame, from_line, "{kind:?}");
+            // Bit for bit, not just by value.
+            let (Command::Batch(f), Command::Batch(l)) = (&from_frame.command, &from_line.command)
+            else {
+                panic!("both are batch requests")
+            };
+            let bits =
+                |p: &[Vec<f64>]| -> Vec<u64> { p.iter().flatten().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(&f.points), bits(&l.points), "{kind:?}");
         }
     }
 
@@ -592,6 +611,23 @@ mod tests {
         assert_eq!(
             request_frame_len(&bad),
             Err(RequestFrameError::SizeOverflow)
+        );
+        // Points with zero symbols: refused before any allocation.
+        let mut bad = good.clone();
+        bad[8..12].copy_from_slice(&10_000_000u32.to_le_bytes());
+        bad[12..16].copy_from_slice(&0u32.to_le_bytes());
+        bad.truncate(REQUEST_HEADER_LEN + 1);
+        assert_eq!(bad.len(), 45);
+        assert_eq!(
+            decode_request(&bad),
+            Err(RequestFrameError::ZeroSymbols { count: 10_000_000 })
+        );
+        bad[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_request(&bad),
+            Err(RequestFrameError::ZeroSymbols {
+                count: u32::MAX as usize
+            })
         );
         // Ragged rows refuse to encode.
         let mut out = Vec::new();

@@ -272,3 +272,99 @@ fn shutdown_over_a_socket_session_stops_the_listener() {
     assert_eq!(bystander.read_to_eof(), b"");
     h.join().expect("accept loop exits after shutdown");
 }
+
+/// Frames with one request-level fault get the same NDJSON error bytes
+/// the engine produced before frames decoded to a typed request, and the
+/// session keeps serving after each.
+#[test]
+fn single_fault_frames_keep_their_error_bytes() {
+    let h = Harness::start(
+        Server::with_config(ServerConfig {
+            max_batch_points: 4,
+            ..ServerConfig::default()
+        }),
+        NetConfig::default(),
+    );
+    let mut c = h.connect();
+    c.send_line(&compile_line("m"));
+    assert!(ok_of(&parse_line(&c.read_line())));
+    let mut nan_point = BatchSpec::new(
+        "m",
+        vec![vec![1e-9, 1e3], vec![2e-9, f64::NAN]],
+        RequestKind::Moments,
+    );
+    nan_point.id = Some("7".into());
+    let mut inf_time = BatchSpec::new("m", vec![vec![1e-9, 1e3]], RequestKind::Step);
+    inf_time.times = vec![1e-9, f64::INFINITY];
+    inf_time.deadline_ms = Some(5000);
+    let mut bad_kind = BatchSpec::new("m", vec![vec![1e-9, 1e3]], RequestKind::Moments).frame();
+    bad_kind[40] = 7;
+    let mut bad_id = BatchSpec::new("m", vec![vec![1e-9, 1e3]], RequestKind::Moments);
+    bad_id.id = Some("{not".into());
+    let cases: [(Vec<u8>, &str); 6] = [
+        (
+            nan_point.frame(),
+            r#"{"ok":false,"id":7,"error":"bad request: each point has a non-finite value at index 1","code":"bad_request"}"#,
+        ),
+        (
+            BatchSpec::new("ghost", vec![vec![1e-9, 1e3]], RequestKind::DcGain).frame(),
+            r#"{"ok":false,"error":"no model named 'ghost' in registry","code":"not_found"}"#,
+        ),
+        (
+            BatchSpec::new("m", vec![vec![1e-9, 1e3]; 5], RequestKind::Delays).frame(),
+            r#"{"ok":false,"error":"bad request: batch has 5 points, limit is 4","code":"bad_request"}"#,
+        ),
+        (
+            inf_time.frame(),
+            r#"{"ok":false,"error":"bad request: 'times' has a non-finite value at index 1","code":"bad_request"}"#,
+        ),
+        (
+            bad_kind,
+            r#"{"ok":false,"error":"bad request: binary request frame: unknown output kind byte 7 (0=moments 1=dc_gain 2=delays 3=step)","code":"bad_request"}"#,
+        ),
+        (
+            bad_id.frame(),
+            r#"{"ok":false,"error":"bad request: binary request frame: id section is not valid JSON","code":"bad_request"}"#,
+        ),
+    ];
+    for (frame, want) in &cases {
+        c.send(frame);
+        assert_eq!(String::from_utf8(c.read_line()).unwrap(), *want);
+    }
+    c.send_line("{\"cmd\":\"stats\"}");
+    assert!(ok_of(&parse_line(&c.read_line())));
+}
+
+/// A 45-byte frame declaring ten million points of zero symbols each is
+/// refused from its header — one typed `bad_request`, nothing allocated
+/// for the points — and the session goes on serving.
+#[test]
+fn zero_symbol_frame_is_refused_and_the_session_keeps_serving() {
+    let h = Harness::start(Server::default(), NetConfig::default());
+    let mut c = h.connect();
+    c.send_line(&compile_line("m"));
+    assert!(ok_of(&parse_line(&c.read_line())));
+    let mut frame = BatchSpec::new("m", grid(0, 0, 1), RequestKind::Moments).frame();
+    frame[8..12].copy_from_slice(&10_000_000u32.to_le_bytes());
+    frame[12..16].copy_from_slice(&0u32.to_le_bytes());
+    frame.truncate(45);
+    c.send(&frame);
+    let err = parse_line(&c.read_line());
+    assert_eq!(
+        err.get("code").and_then(Content::as_str),
+        Some("bad_request")
+    );
+    assert!(
+        err.get("error")
+            .and_then(Content::as_str)
+            .is_some_and(|e| e.contains("0 symbols")),
+        "{err:?}"
+    );
+    // Still serving, over both encodings.
+    c.send(&BatchSpec::new("m", grid(0, 0, 3), RequestKind::DcGain).frame());
+    let frame = awesym_serve::decode_frame(&c.read_frame()).expect("binary response");
+    assert_eq!(frame.ok_count, 3);
+    c.send_line("{\"cmd\":\"stats\"}");
+    assert!(ok_of(&parse_line(&c.read_line())));
+    assert_eq!(h.net.metrics().closed_protocol.get(), 0);
+}

@@ -1,13 +1,15 @@
-//! Concurrent batch evaluation over a shared compiled model.
+//! Batch evaluation over a shared compiled model.
 //!
 //! A compiled model's evaluation is a pure function of the symbol values
-//! (a flat tape replay plus a tiny Padé solve), so fanning a batch of
-//! points across threads is embarrassingly parallel: each worker owns a
-//! disjoint slice of the result vector and a private
-//! [`Evaluator`] (which carries its own
-//! scratch), and the shared model is only read. Results always come back
-//! in input order, and a bad point (wrong arity, unstable ROM, …) yields
-//! a per-point [`PointError`] instead of aborting the batch. Moment-only
+//! (a flat tape replay plus a tiny Padé solve), so a batch splits into
+//! chunks that evaluate independently: `eval_chunk` fills one chunk's
+//! result slots through a private [`Evaluator`] (which carries its own
+//! scratch) while the shared model is only read. The persistent
+//! [`crate::WorkerPool`] fans chunks across its workers;
+//! [`evaluate_batch`] runs one chunk on the calling thread as the serial
+//! reference. Results always come back in input order, and a bad point
+//! (wrong arity, unstable ROM, …) yields a per-point [`PointError`]
+//! instead of aborting the batch. Moment-only
 //! batches additionally take the vectorized `eval_batch` lane kernel —
 //! one hoisted-load tape replay per block of `AWESYM_LANES × LANE_TILE`
 //! points (32 at the default width; see `docs/tape.md` §7) instead of a
@@ -21,9 +23,9 @@
 //! - **numeric health** — non-finite moments are rejected as
 //!   `numeric_unstable` instead of being returned, and ROM construction
 //!   reports when it had to degrade to a lower approximation order;
-//! - **deadlines** — [`evaluate_batch_guarded`] checks a deadline
-//!   cooperatively between points and marks unevaluated points
-//!   `deadline_exceeded` instead of running arbitrarily long;
+//! - **deadlines** — `eval_chunk` checks a deadline cooperatively
+//!   between points and marks unevaluated points `deadline_exceeded`
+//!   instead of running arbitrarily long;
 //! - **fault injection** — with the `fault-injection` feature, installed
 //!   `crate::faults` plans inject panics, NaN moments, and slowdowns per
 //!   point, deterministically.
@@ -129,7 +131,7 @@ pub enum PointValue {
 /// One point's outcome: a value or a structured point-local error.
 pub type PointResult = Result<PointValue, PointError>;
 
-/// A guarded batch run's results plus its health counters.
+/// A pooled batch run's results plus its health counters.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// Per-point outcomes, in input order — one per input point, always.
@@ -462,70 +464,32 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Evaluates `points` against `model`, fanning across `workers` threads
-/// (`None` → [`default_workers`]). Results are returned in input order;
-/// each point independently succeeds or reports a structured
-/// [`PointError`] — a panic inside one point's evaluation is caught and
-/// isolated, never aborting the batch or the process.
+/// Evaluates `points` against `model` on the calling thread — the serial
+/// reference the worker pool is tested against. Results are returned in
+/// input order; each point independently succeeds or reports a
+/// structured [`PointError`] — a panic inside one point's evaluation is
+/// caught and isolated, never aborting the batch or the process.
 pub fn evaluate_batch(
     model: &CompiledModel,
     points: &[Vec<f64>],
     output: &BatchOutput,
-    workers: Option<usize>,
 ) -> Vec<PointResult> {
-    evaluate_batch_guarded(model, points, output, workers, None).results
-}
-
-/// As [`evaluate_batch`], with a cooperative deadline and health
-/// counters. Workers check the deadline between points (every
-/// `CHECK_STRIDE` points on the fast path); once it expires, remaining
-/// points are marked `deadline_exceeded` instead of being evaluated, so a
-/// runaway request bounds its own latency.
-pub fn evaluate_batch_guarded(
-    model: &CompiledModel,
-    points: &[Vec<f64>],
-    output: &BatchOutput,
-    workers: Option<usize>,
-    deadline: Option<Instant>,
-) -> BatchOutcome {
-    let n = points.len();
-    let ctl = BatchCtl::new(deadline, 0);
-    let mut results: Vec<Option<PointResult>> = vec![None; n];
-    if n > 0 {
-        let workers = workers.unwrap_or_else(default_workers).clamp(1, n);
-        let chunk = n.div_ceil(workers);
-        if workers == 1 {
-            // Serial fast path: no thread spawn, same chunk code.
-            eval_chunk(model, points, output, &mut results, 0, &ctl);
-        } else {
-            std::thread::scope(|s| {
-                for (w, (out_chunk, in_chunk)) in results
-                    .chunks_mut(chunk)
-                    .zip(points.chunks(chunk))
-                    .enumerate()
-                {
-                    let ctl = &ctl;
-                    s.spawn(move || eval_chunk(model, in_chunk, output, out_chunk, w * chunk, ctl));
-                }
-            });
-        }
-    }
-    BatchOutcome {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("slot filled"))
-            .collect(),
-        panics_caught: ctl.panics.load(Ordering::Relaxed),
-        degraded_points: ctl.degraded.load(Ordering::Relaxed),
-        deadline_exceeded: ctl.expired.load(Ordering::Relaxed),
-    }
+    let ctl = BatchCtl::new(None, 0);
+    let mut slots = vec![None; points.len()];
+    eval_chunk(model, points, output, &mut slots, 0, &ctl);
+    slots
+        .into_iter()
+        .map(|r| r.expect("eval_chunk fills every slot"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{PoolConfig, WorkerPool};
     use awesym_circuit::generators::fig1_rc;
     use awesym_partition::SymbolBinding;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn model2() -> CompiledModel {
@@ -547,11 +511,35 @@ mod tests {
             .collect()
     }
 
+    /// Runs `points` on a fresh `workers`-thread pool.
+    fn pooled(
+        workers: usize,
+        m: &CompiledModel,
+        points: &[Vec<f64>],
+        output: BatchOutput,
+        deadline: Option<Instant>,
+    ) -> BatchOutcome {
+        let pool = WorkerPool::new(
+            0,
+            PoolConfig {
+                workers,
+                ..PoolConfig::default()
+            },
+        );
+        pool.run_batch(
+            Arc::new(m.clone()),
+            Arc::new(points.to_vec()),
+            output,
+            deadline,
+            None,
+        )
+    }
+
     #[test]
     fn batch_matches_direct_evaluation_in_order() {
         let m = model2();
         let pts = grid(64);
-        let got = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(4));
+        let got = pooled(4, &m, &pts, BatchOutput::Moments, None).results;
         assert_eq!(got.len(), pts.len());
         for (r, p) in got.iter().zip(&pts) {
             assert_eq!(r.as_ref().unwrap(), &PointValue::Moments(m.eval_moments(p)));
@@ -562,9 +550,9 @@ mod tests {
     fn worker_counts_agree() {
         let m = model2();
         let pts = grid(37);
-        let base = evaluate_batch(&m, &pts, &BatchOutput::Rom, Some(1));
+        let base = evaluate_batch(&m, &pts, &BatchOutput::Rom);
         for w in [2, 3, 8, 64] {
-            assert_eq!(evaluate_batch(&m, &pts, &BatchOutput::Rom, Some(w)), base);
+            assert_eq!(pooled(w, &m, &pts, BatchOutput::Rom, None).results, base);
         }
     }
 
@@ -572,7 +560,7 @@ mod tests {
     fn bad_points_error_without_aborting_batch() {
         let m = model2();
         let pts = vec![vec![1e-9, 1e3], vec![1e-9], vec![2e-9, 2e3]];
-        let got = evaluate_batch(&m, &pts, &BatchOutput::DcGain, Some(2));
+        let got = pooled(2, &m, &pts, BatchOutput::DcGain, None).results;
         assert!(got[0].is_ok());
         let e = got[1].as_ref().unwrap_err();
         assert!(e.message.contains("2 symbols"), "{e}");
@@ -593,16 +581,16 @@ mod tests {
             },
             BatchOutput::Delays,
         ] {
-            let got = evaluate_batch(&m, &pts, &out, None);
+            let got = evaluate_batch(&m, &pts, &out);
             assert!(got.iter().all(Result::is_ok), "{out:?}");
         }
-        assert!(evaluate_batch(&m, &[], &BatchOutput::Moments, None).is_empty());
+        assert!(evaluate_batch(&m, &[], &BatchOutput::Moments).is_empty());
     }
 
     #[test]
     fn delay_values_are_physical() {
         let m = model2();
-        let got = evaluate_batch(&m, &grid(3), &BatchOutput::Delays, Some(2));
+        let got = pooled(2, &m, &grid(3), BatchOutput::Delays, None).results;
         for r in got {
             let PointValue::Delays(d) = r.unwrap() else {
                 panic!("wrong kind")
@@ -614,7 +602,7 @@ mod tests {
     #[test]
     fn healthy_points_report_no_degradation() {
         let m = model2();
-        let out = evaluate_batch_guarded(&m, &grid(8), &BatchOutput::Rom, Some(2), None);
+        let out = pooled(2, &m, &grid(8), BatchOutput::Rom, None);
         assert_eq!(out.panics_caught, 0);
         assert_eq!(out.degraded_points, 0);
         assert!(!out.deadline_exceeded);
@@ -633,13 +621,7 @@ mod tests {
         // evaluated, and the outcome says so.
         let past = Instant::now() - Duration::from_millis(1);
         for workers in [1, 4] {
-            let out = evaluate_batch_guarded(
-                &m,
-                &grid(100),
-                &BatchOutput::Moments,
-                Some(workers),
-                Some(past),
-            );
+            let out = pooled(workers, &m, &grid(100), BatchOutput::Moments, Some(past));
             assert!(out.deadline_exceeded);
             assert_eq!(out.results.len(), 100);
             let expired = out
@@ -659,9 +641,9 @@ mod tests {
     fn generous_deadline_changes_nothing() {
         let m = model2();
         let pts = grid(40);
-        let free = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(2));
+        let free = pooled(2, &m, &pts, BatchOutput::Moments, None).results;
         let far = Instant::now() + Duration::from_secs(3600);
-        let out = evaluate_batch_guarded(&m, &pts, &BatchOutput::Moments, Some(2), Some(far));
+        let out = pooled(2, &m, &pts, BatchOutput::Moments, Some(far));
         assert!(!out.deadline_exceeded);
         assert_eq!(out.results, free);
     }

@@ -59,25 +59,6 @@ impl fmt::Display for WireEncoding {
     }
 }
 
-/// Resolves a request's `"encoding"` field. Absent means NDJSON; an
-/// unknown or non-string value is a typed `bad_request` (the response to
-/// which is itself NDJSON, so the client always gets a readable answer).
-pub fn negotiate(req: &Content) -> Result<WireEncoding, ServeError> {
-    match req.get("encoding") {
-        None => Ok(WireEncoding::Ndjson),
-        Some(v) => match v.as_str() {
-            Some("ndjson") => Ok(WireEncoding::Ndjson),
-            Some("binary-v1") => Ok(WireEncoding::BinaryV1),
-            Some(other) => Err(ServeError::BadRequest {
-                what: format!("unknown encoding '{other}' (ndjson|binary-v1)"),
-            }),
-            None => Err(ServeError::BadRequest {
-                what: "'encoding' must be a string (ndjson|binary-v1)".into(),
-            }),
-        },
-    }
-}
-
 /// A `batch` response ready to encode: the head fields that precede
 /// `"results"` in the NDJSON form, plus the raw per-point outcomes the
 /// encoder streams directly.
@@ -717,22 +698,6 @@ mod tests {
             elapsed_ns: 123_456,
             deadline_exceeded: false,
             deadline: None,
-        }
-    }
-
-    #[test]
-    fn negotiation_rules() {
-        let none: Content = serde_json::from_str(r#"{"cmd":"batch"}"#).unwrap();
-        assert_eq!(negotiate(&none).unwrap(), WireEncoding::Ndjson);
-        let nd: Content = serde_json::from_str(r#"{"encoding":"ndjson"}"#).unwrap();
-        assert_eq!(negotiate(&nd).unwrap(), WireEncoding::Ndjson);
-        let bin: Content = serde_json::from_str(r#"{"encoding":"binary-v1"}"#).unwrap();
-        assert_eq!(negotiate(&bin).unwrap(), WireEncoding::BinaryV1);
-        for bad in [r#"{"encoding":"binary-v2"}"#, r#"{"encoding":42}"#] {
-            let req: Content = serde_json::from_str(bad).unwrap();
-            let e = negotiate(&req).unwrap_err();
-            assert_eq!(e.code(), ErrorCode::BadRequest, "{bad}");
-            assert!(e.to_string().contains("ndjson|binary-v1"), "{e}");
         }
     }
 

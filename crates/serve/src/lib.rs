@@ -9,14 +9,16 @@
 //!   ([`save_artifact`] / [`load_artifact`]);
 //! - [`registry`]: a named, thread-safe, LRU-evicting in-memory
 //!   [`ModelRegistry`];
-//! - [`batch`]: [`evaluate_batch`], fanning points across scoped worker
-//!   threads with per-thread scratch reuse and per-point errors;
+//! - [`batch`]: per-point evaluation with panic isolation, numeric
+//!   health checks and per-point errors, plus [`evaluate_batch`], the
+//!   serial reference the worker pool is tested against;
 //! - [`pool`]: the persistent [`WorkerPool`] — threads spawned once per
 //!   shard, parked on a job queue, supervised and restarted with capped
 //!   backoff when they die;
 //! - [`shard`]: the crash-isolation layer — [`shard_of`] name placement,
 //!   the warm/cold [`TieredRegistry`], the per-shard [`CircuitBreaker`],
 //!   and the [`Shard`] supervisor tying them together;
+//! - [`request`]: the typed [`Request`] both wire encodings parse to;
 //! - [`server`]: the newline-delimited-JSON [`Server`] engine behind
 //!   `awesym serve`, with request/latency/throughput [`stats`] and the
 //!   `health`/`drain` operational commands.
@@ -43,6 +45,7 @@ mod error;
 pub mod faults;
 pub mod pool;
 pub mod registry;
+pub mod request;
 pub mod resolve;
 pub mod server;
 pub mod shard;
@@ -54,8 +57,7 @@ pub use artifact::{
 };
 pub use awesym_partition::Degradation;
 pub use batch::{
-    evaluate_batch, evaluate_batch_guarded, BatchOutcome, BatchOutput, DelaySummary, PointResult,
-    PointValue, RomSummary,
+    evaluate_batch, BatchOutcome, BatchOutput, DelaySummary, PointResult, PointValue, RomSummary,
 };
 pub use encode::{
     decode_frame, BinaryEncoder, DecodedFrame, Encoder, FrameError, NdjsonEncoder, WireEncoding,
@@ -63,6 +65,7 @@ pub use encode::{
 pub use error::{ErrorCode, PointError, ServeError};
 pub use pool::{PoolConfig, WorkerPool};
 pub use registry::{ModelRegistry, RegistryStats};
+pub use request::{BatchRequest, Command, CompileRequest, NetlistSource, Request};
 pub use server::{Response, ResponseMeta, Server, ServerConfig, DEFAULT_CAPACITY};
 pub use shard::{
     adaptive_retry_after_ms, shard_of, BreakerConfig, CircuitBreaker, Shard, ShardConfig,

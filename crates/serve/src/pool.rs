@@ -474,7 +474,14 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Set the flag under the queue lock: a worker checks it under
+        // that lock before parking, so it either sees the flag or is
+        // already parked when the notify lands (no lost wakeup, which
+        // would hang the join below).
+        {
+            let _q = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.work.notify_all();
         let handles = std::mem::take(&mut lock(&self.supervisor).handles);
         for h in handles {
@@ -567,6 +574,37 @@ mod tests {
         )
     }
 
+    /// Dropping a pool right after a batch races its workers back to
+    /// their park; a shutdown flag set outside the queue lock could slip
+    /// between a worker's check and its wait and hang the join. Several
+    /// threads churn pools at once so workers get preempted in that gap.
+    #[test]
+    fn drop_after_a_batch_never_hangs() {
+        let (m, pts) = (model2(), grid(40));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        for _ in 0..2000 {
+                            let pool = small_pool(2);
+                            pool.run_batch(
+                                Arc::clone(&m),
+                                Arc::clone(&pts),
+                                BatchOutput::Moments,
+                                None,
+                                None,
+                            );
+                        }
+                    });
+                }
+            });
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("a pool drop hung joining a worker that missed the shutdown wakeup");
+    }
+
     #[test]
     fn small_tapes_get_fewer_larger_chunks() {
         let (n, workers) = (4096, 8);
@@ -616,7 +654,7 @@ mod tests {
     fn pool_results_match_direct_evaluation_at_any_worker_count() {
         let m = model2();
         let pts = grid(333);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
+        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments);
         for workers in [1, 2, 4, 8] {
             let pool = small_pool(workers);
             let out = pool.run_batch(
@@ -681,7 +719,7 @@ mod tests {
         let pool = small_pool(8);
         let m = model2();
         let pts = grid(300);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
+        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments);
         let out = pool.run_batch(
             Arc::clone(&m),
             Arc::clone(&pts),
@@ -697,7 +735,7 @@ mod tests {
         let pool = Arc::new(small_pool(4));
         let m = model2();
         let pts = grid(256);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
+        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments);
         std::thread::scope(|s| {
             for _ in 0..6 {
                 let pool = Arc::clone(&pool);
@@ -761,7 +799,7 @@ mod tests {
         // and the next batch is fully healthy.
         std::thread::sleep(Duration::from_millis(5));
         let pts = grid(100);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
+        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments);
         let out = pool.run_batch(Arc::clone(&m), pts, BatchOutput::Moments, None, None);
         assert_eq!(out.results, reference);
         assert!(pool.restarts() >= 3, "restarts={}", pool.restarts());

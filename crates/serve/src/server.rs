@@ -38,7 +38,8 @@
 
 use crate::batch::BatchOutput;
 use crate::encode::{self, BatchBody, ResponseBody, WireEncoding};
-use crate::registry::{ModelRegistry, RegistryStats};
+use crate::registry::RegistryStats;
+use crate::request::{self, BatchRequest, Command, CompileRequest, NetlistSource, Request};
 use crate::shard::{adaptive_retry_after_ms, shard_of, Shard, ShardConfig};
 use crate::stats::{ServerStats, Stage, STAGES};
 use crate::{artifact, resolve, ServeError};
@@ -145,8 +146,9 @@ pub struct ResponseMeta {
 enum Reply {
     /// An ordered field list.
     Fields(Vec<(&'static str, Content)>),
-    /// A batch body the encoder streams directly.
-    Batch(BatchBody),
+    /// A batch body the encoder streams directly, in the encoding the
+    /// request negotiated.
+    Batch(BatchBody, WireEncoding),
 }
 
 /// The serving engine: a sharded model fleet plus counters, driven one
@@ -251,56 +253,22 @@ fn push_error_fields(fields: &mut Vec<(&'static str, Content)>, e: &ServeError) 
     }
 }
 
-/// Extracts a required string field.
-fn need_str<'a>(req: &'a Content, key: &str) -> Result<&'a str, ServeError> {
-    req.get(key)
-        .and_then(Content::as_str)
-        .ok_or_else(|| ServeError::BadRequest {
-            what: format!("missing string field '{key}'"),
-        })
-}
-
-fn point_from(c: &Content, what: &str) -> Result<Vec<f64>, ServeError> {
-    let vals = c
-        .as_seq()
-        .and_then(|s| s.iter().map(Content::as_f64).collect::<Option<Vec<f64>>>())
-        .ok_or_else(|| ServeError::BadRequest {
-            what: format!("{what} must be an array of numbers"),
-        })?;
-    // NaN/Inf symbol values would propagate through every moment; reject
-    // them at the door with a clear message instead.
-    if let Some(i) = vals.iter().position(|v| !v.is_finite()) {
-        return Err(ServeError::BadRequest {
+/// Rejects NaN/Inf symbol values: they would propagate through every
+/// moment, so they are refused at the door with a clear message.
+fn check_finite(vals: &[f64], what: &str) -> Result<(), ServeError> {
+    match vals.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(ServeError::BadRequest {
             what: format!("{what} has a non-finite value at index {i}"),
-        });
+        }),
+        None => Ok(()),
     }
-    Ok(vals)
 }
 
-fn output_kind(req: &Content) -> Result<BatchOutput, ServeError> {
-    // `kind` is the documented name; `output` is accepted as an alias so a
-    // natural guess does not silently fall back to the moments default.
-    let kind = req
-        .get("kind")
-        .or_else(|| req.get("output"))
-        .and_then(Content::as_str)
-        .unwrap_or("moments");
-    match kind {
-        "moments" => Ok(BatchOutput::Moments),
-        "rom" => Ok(BatchOutput::Rom),
-        "dc_gain" => Ok(BatchOutput::DcGain),
-        "delays" => Ok(BatchOutput::Delays),
-        "step" => {
-            let times = req.get("times").ok_or_else(|| ServeError::BadRequest {
-                what: "kind 'step' requires a 'times' array".into(),
-            })?;
-            Ok(BatchOutput::Step {
-                times: point_from(times, "'times'")?,
-            })
-        }
-        other => Err(ServeError::BadRequest {
-            what: format!("unknown kind '{other}' (moments|rom|dc_gain|step|delays)"),
-        }),
+/// [`check_finite`] over a step output's sample times.
+fn check_output(output: &BatchOutput) -> Result<(), ServeError> {
+    match output {
+        BatchOutput::Step { times } => check_finite(times, "'times'"),
+        _ => Ok(()),
     }
 }
 
@@ -371,14 +339,6 @@ impl Server {
     /// The active configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
-    }
-
-    /// Shard 0's warm-tier registry. For the default single-shard
-    /// configuration this is *the* registry (backward compatible); on a
-    /// sharded server prefer [`Server::insert_model`] /
-    /// [`Server::shard_for`], which route by name.
-    pub fn registry(&self) -> &ModelRegistry {
-        self.shards[0].registry().warm()
     }
 
     /// Every shard, in index order.
@@ -460,20 +420,16 @@ impl Server {
         Ok(InflightGuard(&self.inflight))
     }
 
-    /// The request's evaluation deadline: a per-request `"deadline_ms"`
+    /// The request's evaluation deadline: a per-request `deadline_ms`
     /// overrides the configured default. Returns the absolute instant and
     /// the millisecond figure (for error reporting).
-    fn deadline_of(&self, req: &Content, t0: Instant) -> Option<(Instant, u64)> {
-        let ms = req
-            .get("deadline_ms")
-            .and_then(Content::as_u64)
-            .or(self.config.deadline_ms)?;
+    fn deadline_of(&self, deadline_ms: Option<u64>, t0: Instant) -> Option<(Instant, u64)> {
+        let ms = deadline_ms.or(self.config.deadline_ms)?;
         Some((t0 + Duration::from_millis(ms), ms))
     }
 
-    /// Resolves a request's model and the shard that owns it.
-    fn route(&self, req: &Content) -> Result<(&Shard, Arc<CompiledModel>), ServeError> {
-        let name = need_str(req, "model")?;
+    /// Resolves a model name and the shard that owns it.
+    fn route(&self, name: &str) -> Result<(&Shard, Arc<CompiledModel>), ServeError> {
         let shard = self.shard_for(name);
         let model = shard
             .registry()
@@ -484,10 +440,8 @@ impl Server {
         Ok((shard, model))
     }
 
-    fn cmd_load(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let name = need_str(req, "name")?;
-        let path = need_str(req, "path")?;
-        let model = artifact::load_model_file(path)?;
+    /// Registers a loaded or compiled model on its shard and summarizes it.
+    fn register(&self, name: &str, model: CompiledModel) -> Vec<(&'static str, Content)> {
         let mut fields = model_summary(name, &model);
         fields.push((
             "shard",
@@ -496,93 +450,68 @@ impl Server {
         if let Some(e) = self.insert_model(name, model) {
             fields.push(("evicted", Content::Str(e)));
         }
-        Ok(fields)
+        fields
     }
 
-    fn cmd_compile(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let name = need_str(req, "name")?;
-        let text = match req.get("netlist").and_then(Content::as_str) {
-            Some(t) => t.to_string(),
-            None => {
-                let path = need_str(req, "path").map_err(|_| ServeError::BadRequest {
-                    what: "compile needs 'netlist' text or a 'path'".into(),
-                })?;
-                std::fs::read_to_string(path).map_err(|e| ServeError::Io {
-                    path: path.to_string(),
-                    source: e,
-                })?
+    fn cmd_load(&self, name: &str, path: &str) -> Result<Vec<(&'static str, Content)>, ServeError> {
+        let model = artifact::load_model_file(path)?;
+        Ok(self.register(name, model))
+    }
+
+    fn cmd_compile(&self, req: CompileRequest) -> Result<Vec<(&'static str, Content)>, ServeError> {
+        let text = match req.netlist {
+            NetlistSource::Text(text) => text,
+            NetlistSource::Path(path) => {
+                std::fs::read_to_string(&path).map_err(|e| ServeError::Io { path, source: e })?
             }
         };
         let circuit = awesym_circuit::parse_spice(&text).map_err(|e| ServeError::BadRequest {
             what: format!("netlist: {e}"),
         })?;
-        let input_name = need_str(req, "input")?;
         let input = circuit
-            .find(input_name)
+            .find(&req.input)
             .ok_or_else(|| ServeError::BadRequest {
-                what: format!("no element named {input_name}"),
+                what: format!("no element named {}", req.input),
             })?;
-        let output_name = need_str(req, "output")?;
         let output = circuit
-            .find_node(output_name)
+            .find_node(&req.output)
             .ok_or_else(|| ServeError::BadRequest {
-                what: format!("no node named {output_name}"),
+                what: format!("no node named {}", req.output),
             })?;
-        let specs: Vec<String> = req
-            .get("symbols")
-            .and_then(Content::as_seq)
-            .map(|s| {
-                s.iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let bindings = resolve::resolve_symbol_specs(&circuit, &specs)
+        let bindings = resolve::resolve_symbol_specs(&circuit, &req.symbols)
             .map_err(|what| ServeError::BadRequest { what })?;
-        let order = req
-            .get("order")
-            .and_then(Content::as_u64)
-            .map_or(2, |v| v as usize);
-        let model = CompiledModel::build(&circuit, input, output, &bindings, order)?;
-        let mut fields = model_summary(name, &model);
-        fields.push((
-            "shard",
-            Content::U64(shard_of(name, self.shards.len()) as u64),
-        ));
-        if let Some(e) = self.insert_model(name, model) {
-            fields.push(("evicted", Content::Str(e)));
-        }
-        Ok(fields)
+        let model = CompiledModel::build(&circuit, input, output, &bindings, req.order)?;
+        Ok(self.register(&req.name, model))
     }
 
-    fn cmd_save(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let path = need_str(req, "path")?;
-        let (_, model) = self.route(req)?;
+    fn cmd_save(
+        &self,
+        model: &str,
+        path: &str,
+    ) -> Result<Vec<(&'static str, Content)>, ServeError> {
+        let (_, model) = self.route(model)?;
         artifact::save_artifact(&model, path)?;
         Ok(vec![("path", Content::Str(path.to_string()))])
     }
 
     fn cmd_eval(
         &self,
-        req: &Content,
+        model: &str,
+        values: Vec<f64>,
+        output: BatchOutput,
         deadline: Option<(Instant, u64)>,
         clock: &mut StageClock,
         shard_used: &mut Option<usize>,
     ) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let (shard, model) = clock.time(Stage::Lookup, || self.route(req))?;
+        let (shard, model) = clock.time(Stage::Lookup, || self.route(model))?;
         *shard_used = Some(shard.id());
-        let values = point_from(
-            req.get("values").ok_or_else(|| ServeError::BadRequest {
-                what: "missing 'values' array".into(),
-            })?,
-            "'values'",
-        )?;
-        let kind = output_kind(req)?;
+        check_finite(&values, "'values'")?;
+        check_output(&output)?;
         let outcome = clock.time(Stage::Eval, || {
             shard.evaluate(
                 Arc::clone(&model),
                 Arc::new(vec![values]),
-                kind,
+                output,
                 deadline.map(|(at, _)| at),
                 Some(1),
             )
@@ -616,63 +545,44 @@ impl Server {
 
     fn cmd_batch(
         &self,
-        req: &Content,
+        req: BatchRequest,
         deadline: Option<(Instant, u64)>,
         clock: &mut StageClock,
-        encoding: WireEncoding,
         shard_used: &mut Option<usize>,
     ) -> Result<BatchBody, ServeError> {
-        let (shard, model) = clock.time(Stage::Lookup, || self.route(req))?;
+        let (shard, model) = clock.time(Stage::Lookup, || self.route(&req.model))?;
         *shard_used = Some(shard.id());
-        let raw_points =
-            req.get("points")
-                .and_then(Content::as_seq)
-                .ok_or_else(|| ServeError::BadRequest {
-                    what: "missing 'points' array of arrays".into(),
-                })?;
-        if raw_points.len() > self.config.max_batch_points {
+        let n_points = req.points.len();
+        if n_points > self.config.max_batch_points {
             return Err(ServeError::BadRequest {
                 what: format!(
-                    "batch has {} points, limit is {}",
-                    raw_points.len(),
+                    "batch has {n_points} points, limit is {}",
                     self.config.max_batch_points
                 ),
             });
         }
-        let points: Vec<Vec<f64>> = raw_points
-            .iter()
-            .map(|p| point_from(p, "each point"))
-            .collect::<Result<_, _>>()?;
-        let kind = output_kind(req)?;
+        for p in &req.points {
+            check_finite(p, "each point")?;
+        }
+        check_output(&req.output)?;
         // The binary frame carries a fixed number of f64 columns per
-        // point, derived from the output kind before any evaluation.
-        let cols = match (&kind, encoding) {
-            (BatchOutput::Rom, WireEncoding::BinaryV1) => {
-                return Err(ServeError::BadRequest {
-                    what: "kind 'rom' has no fixed-width binary layout; \
-                           use \"encoding\":\"ndjson\""
-                        .into(),
-                })
-            }
-            (BatchOutput::Rom, _) => 0,
-            (BatchOutput::Moments, _) => 2 * model.order(),
-            (BatchOutput::DcGain, _) => 1,
-            (BatchOutput::Delays, _) => 4,
-            (BatchOutput::Step { times }, _) => times.len(),
+        // point, derived from the output kind before any evaluation
+        // (`rom` never reaches the binary encoder: parsing refuses it).
+        let cols = match &req.output {
+            BatchOutput::Rom => 0,
+            BatchOutput::Moments => 2 * model.order(),
+            BatchOutput::DcGain => 1,
+            BatchOutput::Delays => 4,
+            BatchOutput::Step { times } => times.len(),
         };
-        let workers = req
-            .get("workers")
-            .and_then(Content::as_u64)
-            .map(|v| (v as usize).max(1));
-        let n_points = points.len();
         let t0 = Instant::now();
         let outcome = clock.time(Stage::Eval, || {
             shard.evaluate(
                 Arc::clone(&model),
-                Arc::new(points),
-                kind.clone(),
+                Arc::new(req.points),
+                req.output,
                 deadline.map(|(at, _)| at),
-                workers,
+                req.workers,
             )
         })?;
         let elapsed = t0.elapsed();
@@ -813,28 +723,34 @@ impl Server {
         }
         let t0 = Instant::now();
         let mut clock = StageClock::new(self.config.observe);
-        // Size guard before the parser ever sees the bytes.
-        let req = clock.time(Stage::Parse, || {
+        let (id, command) = clock.time(Stage::Parse, || {
+            // Size guard before the parser ever sees the bytes.
             if line.len() > self.config.max_line_bytes {
-                Err(ServeError::BadRequest {
-                    what: format!(
-                        "request line is {} bytes, limit is {}",
-                        line.len(),
-                        self.config.max_line_bytes
-                    ),
-                })
-            } else {
-                serde_json::from_str::<Content>(line).map_err(|e| ServeError::BadRequest {
-                    what: format!("request is not JSON: {e}"),
-                })
+                let what = format!(
+                    "request line is {} bytes, limit is {}",
+                    line.len(),
+                    self.config.max_line_bytes
+                );
+                return (None, Err(ServeError::BadRequest { what }));
+            }
+            match serde_json::from_str::<Content>(line) {
+                Ok(c) => match Request::from_content(&c) {
+                    Ok(req) => (req.id, Ok(req.command)),
+                    // A malformed request still echoes its id.
+                    Err(e) => (request::id_of(&c), Err(e)),
+                },
+                Err(e) => {
+                    let what = format!("request is not JSON: {e}");
+                    (None, Err(ServeError::BadRequest { what }))
+                }
             }
         });
-        Some(self.finish_request(req, WireEncoding::Ndjson, t0, clock, out))
+        Some(self.respond(id, command, WireEncoding::Ndjson, t0, clock, out))
     }
 
     /// Handles a request that was already decoded off the wire — the
     /// binary-v1 *request* frame path, where the transport turns the
-    /// frame into the request [`Content`] before entering the engine.
+    /// frame into a typed [`Request`] before entering the engine.
     ///
     /// `decode` is the externally measured `(start_ns, dur_ns)` of that
     /// decode; it is credited to the `parse` stage so the per-stage
@@ -843,11 +759,11 @@ impl Server {
     /// failure is passed in as `Err` and answered with the same typed
     /// NDJSON error envelope a bad JSON line gets. Everything
     /// downstream — routing, evaluation, envelope field order, encoding
-    /// negotiation — is byte-identical to
-    /// [`Server::handle_line_into`] on the equivalent JSON line.
+    /// — is shared with [`Server::handle_line_into`], so a frame and the
+    /// equivalent JSON line get byte-identical responses.
     pub fn handle_decoded_into(
         &self,
-        req: Result<Content, ServeError>,
+        req: Result<Request, ServeError>,
         req_encoding: WireEncoding,
         decode: Option<(u64, u64)>,
         out: &mut Vec<u8>,
@@ -857,95 +773,91 @@ impl Server {
         if let Some((start, dur)) = decode {
             clock.charge(Stage::Parse, start, dur);
         }
-        self.finish_request(req, req_encoding, t0, clock, out)
+        let (id, command) = match req {
+            Ok(req) => (req.id, Ok(req.command)),
+            Err(e) => (None, Err(e)),
+        };
+        self.respond(id, command, req_encoding, t0, clock, out)
     }
 
     /// The shared back half of request handling: dispatch, envelope,
-    /// encode, and accounting for an already-parsed request.
-    /// `req_encoding` is the encoding the *request* arrived in (used
-    /// only to label the parse-stage split).
-    fn finish_request(
+    /// encode, and accounting for a parsed request. `req_encoding` is
+    /// the encoding the *request* arrived in (used only to label the
+    /// parse-stage split).
+    fn respond(
         &self,
-        req: Result<Content, ServeError>,
+        id: Option<Content>,
+        command: Result<Command, ServeError>,
         req_encoding: WireEncoding,
         t0: Instant,
         mut clock: StageClock,
         out: &mut Vec<u8>,
     ) -> ResponseMeta {
-        let id = req
-            .as_ref()
-            .ok()
-            .and_then(|r| r.get("id").cloned())
-            .unwrap_or(Content::Null);
         let mut shutdown = false;
-        let mut encoding = WireEncoding::Ndjson;
         let mut shard_used: Option<usize> = None;
-        let outcome: Result<Reply, ServeError> = req.and_then(|req| {
-            encoding = encode::negotiate(&req)?;
-            let cmd = need_str(&req, "cmd")?.to_string();
-            let deadline = self.deadline_of(&req, t0);
-            if encoding == WireEncoding::BinaryV1 && cmd != "batch" {
-                return Err(ServeError::BadRequest {
-                    what: format!("encoding 'binary-v1' only applies to cmd 'batch' (got '{cmd}')"),
-                });
+        let outcome: Result<Reply, ServeError> = command.and_then(|command| match command {
+            // Heavy commands claim an in-flight slot (shedding when the
+            // budget is exhausted); cheap ones always answer.
+            Command::Load { name, path } => self.cmd_load(&name, &path).map(Reply::Fields),
+            Command::Compile(req) => {
+                let _slot = self.admit()?;
+                self.cmd_compile(req).map(Reply::Fields)
             }
-            match cmd.as_str() {
-                // Heavy commands claim an in-flight slot (shedding when
-                // the budget is exhausted); cheap ones always answer.
-                "load" => self.cmd_load(&req).map(Reply::Fields),
-                "compile" => {
-                    let _slot = self.admit()?;
-                    self.cmd_compile(&req).map(Reply::Fields)
-                }
-                "save" => self.cmd_save(&req).map(Reply::Fields),
-                "eval" => {
-                    let _slot = self.admit()?;
-                    self.cmd_eval(&req, deadline, &mut clock, &mut shard_used)
-                        .map(Reply::Fields)
-                }
-                "batch" => {
-                    let _slot = self.admit()?;
-                    self.cmd_batch(&req, deadline, &mut clock, encoding, &mut shard_used)
-                        .map(Reply::Batch)
-                }
-                "stats" => self.cmd_stats().map(Reply::Fields),
-                "health" => self.cmd_health().map(Reply::Fields),
-                "drain" => self.cmd_drain().map(Reply::Fields),
-                "shutdown" => {
-                    shutdown = true;
-                    Ok(Reply::Fields(vec![("shutdown", Content::Bool(true))]))
-                }
-                other => Err(ServeError::BadRequest {
-                    what: format!(
-                        "unknown cmd '{other}' \
-                         (load|compile|save|eval|batch|stats|health|drain|shutdown)"
-                    ),
-                }),
+            Command::Save { model, path } => self.cmd_save(&model, &path).map(Reply::Fields),
+            Command::Eval {
+                model,
+                values,
+                output,
+                deadline_ms,
+            } => {
+                let _slot = self.admit()?;
+                let deadline = self.deadline_of(deadline_ms, t0);
+                self.cmd_eval(
+                    &model,
+                    values,
+                    output,
+                    deadline,
+                    &mut clock,
+                    &mut shard_used,
+                )
+                .map(Reply::Fields)
+            }
+            Command::Batch(req) => {
+                let _slot = self.admit()?;
+                let deadline = self.deadline_of(req.deadline_ms, t0);
+                let encoding = req.encoding;
+                self.cmd_batch(req, deadline, &mut clock, &mut shard_used)
+                    .map(|body| Reply::Batch(body, encoding))
+            }
+            Command::Stats => self.cmd_stats().map(Reply::Fields),
+            Command::Health => self.cmd_health().map(Reply::Fields),
+            Command::Drain => self.cmd_drain().map(Reply::Fields),
+            Command::Shutdown => {
+                shutdown = true;
+                Ok(Reply::Fields(vec![("shutdown", Content::Bool(true))]))
             }
         });
         let mut ok = outcome.is_ok();
         let mut envelope = vec![("ok", Content::Bool(ok))];
-        if !id.is_null() {
+        if let Some(id) = &id {
             envelope.push(("id", id.clone()));
         }
+        // Only batch bodies have a binary form; everything else, errors
+        // included, is an NDJSON object whatever was negotiated.
+        let mut encoding = WireEncoding::Ndjson;
         let body = match outcome {
             Ok(Reply::Fields(extra)) => {
-                // Only batch bodies have a binary form; everything else
-                // is an NDJSON object whatever was negotiated.
-                encoding = WireEncoding::Ndjson;
                 envelope.extend(extra);
                 ResponseBody::Fields(envelope)
             }
-            Ok(Reply::Batch(mut b)) => {
+            Ok(Reply::Batch(mut b, negotiated)) => {
+                encoding = negotiated;
                 envelope.append(&mut b.head);
                 b.head = envelope;
-                if !id.is_null() {
-                    b.id = Some(id.clone());
-                }
+                b.id.clone_from(&id);
                 ResponseBody::Batch(b)
             }
             Err(e) => {
-                encoding = WireEncoding::Ndjson;
                 push_error_fields(&mut envelope, &e);
                 ResponseBody::Fields(envelope)
             }
@@ -963,7 +875,7 @@ impl Server {
                 self.stats.record_deadline_exceeded();
             }
             let mut fields = vec![("ok", Content::Bool(false))];
-            if !id.is_null() {
+            if let Some(id) = id {
                 fields.push(("id", id));
             }
             push_error_fields(&mut fields, &e);
@@ -1249,11 +1161,7 @@ mod tests {
         let c = parse(&r);
         assert!(!ok_of(&c), "{}", r.text());
         assert_eq!(code_of(&c), Some("bad_request"));
-        let err = point_from(
-            &Content::Seq(vec![Content::F64(1.0), Content::F64(f64::NAN)]),
-            "'values'",
-        )
-        .unwrap_err();
+        let err = check_finite(&[1.0, f64::NAN], "'values'").unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
     }
 
@@ -1505,15 +1413,6 @@ mod tests {
         let c = parse(&s.handle_line(r#"{"cmd":"health"}"#).unwrap());
         assert_eq!(c.get("ready").and_then(Content::as_bool), Some(false));
         assert!(ok_of(&parse(&s.handle_line(r#"{"cmd":"stats"}"#).unwrap())));
-    }
-
-    #[test]
-    fn single_shard_registry_accessor_stays_compatible() {
-        let s = Server::default();
-        s.handle_line(&compile_req("m")).unwrap();
-        // The legacy accessor sees models on the default single shard.
-        assert!(s.registry().get("m").is_some());
-        assert_eq!(s.registry_stats().resident, 1);
     }
 
     #[test]

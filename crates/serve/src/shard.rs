@@ -119,12 +119,6 @@ impl TieredRegistry {
         }
     }
 
-    /// The warm tier (single-shard servers expose this as *the*
-    /// registry for backward compatibility).
-    pub fn warm(&self) -> &ModelRegistry {
-        &self.warm
-    }
-
     /// Inserts a model into the warm tier; a warm eviction demotes into
     /// cold. Returns the name of a model that fell out of the cold tier
     /// (i.e. was truly forgotten), if any.

@@ -4,8 +4,12 @@
 
 use awesym_circuit::generators::fig1_rc;
 use awesym_partition::{CompiledModel, SymbolBinding};
-use awesym_serve::{evaluate_batch, BatchOutput, ModelRegistry, PointValue, TieredRegistry};
+use awesym_serve::{
+    evaluate_batch, BatchOutput, ModelRegistry, PointResult, PointValue, PoolConfig,
+    TieredRegistry, WorkerPool,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn build_model() -> CompiledModel {
     let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
@@ -15,6 +19,30 @@ fn build_model() -> CompiledModel {
         SymbolBinding::resistance("r2", vec![c.find("R2").unwrap()]),
     ];
     CompiledModel::build(c, w.input, w.output, &bindings, 2).unwrap()
+}
+
+/// `points` evaluated on a fresh `workers`-thread pool.
+fn pooled(
+    workers: usize,
+    model: &CompiledModel,
+    points: &[Vec<f64>],
+    output: BatchOutput,
+) -> Vec<PointResult> {
+    let pool = WorkerPool::new(
+        0,
+        PoolConfig {
+            workers,
+            ..PoolConfig::default()
+        },
+    );
+    pool.run_batch(
+        Arc::new(model.clone()),
+        Arc::new(points.to_vec()),
+        output,
+        None,
+        None,
+    )
+    .results
 }
 
 /// Deterministic evaluation point for (thread, iteration).
@@ -206,9 +234,9 @@ fn tiered_eviction_racing_lookups_stays_consistent() {
 fn batch_results_are_worker_count_invariant() {
     let model = build_model();
     let points: Vec<Vec<f64>> = (0..1200).map(|i| point(i % 8, i / 8)).collect();
-    let serial = evaluate_batch(&model, &points, &BatchOutput::Moments, Some(1));
-    for workers in [2, 4, 8] {
-        let parallel = evaluate_batch(&model, &points, &BatchOutput::Moments, Some(workers));
+    let serial = evaluate_batch(&model, &points, &BatchOutput::Moments);
+    for workers in [1, 2, 4, 8] {
+        let parallel = pooled(workers, &model, &points, BatchOutput::Moments);
         assert_eq!(parallel, serial, "workers={workers}");
     }
     // And the serial results equal direct model calls, in input order.
@@ -224,7 +252,9 @@ fn batch_results_are_worker_count_invariant() {
 fn rom_batches_are_worker_count_invariant() {
     let model = build_model();
     let points: Vec<Vec<f64>> = (0..160).map(|i| point(i % 8, i / 8)).collect();
-    let serial = evaluate_batch(&model, &points, &BatchOutput::Rom, Some(1));
-    let parallel = evaluate_batch(&model, &points, &BatchOutput::Rom, Some(8));
-    assert_eq!(parallel, serial);
+    let serial = evaluate_batch(&model, &points, &BatchOutput::Rom);
+    for workers in [1, 2, 4, 8] {
+        let parallel = pooled(workers, &model, &points, BatchOutput::Rom);
+        assert_eq!(parallel, serial, "workers={workers}");
+    }
 }

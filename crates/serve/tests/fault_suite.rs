@@ -19,9 +19,9 @@
 use awesym_circuit::generators::fig1_rc;
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::faults::{self, Fault, FaultPlan};
-use awesym_serve::{evaluate_batch, evaluate_batch_guarded, BatchOutput, Server, ServerConfig};
+use awesym_serve::{evaluate_batch, BatchOutput, PoolConfig, Server, ServerConfig, WorkerPool};
 use serde::Content;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The fault plan is process-global state, so tests touching it must not
@@ -117,7 +117,7 @@ fn faulted_batch_answers_every_point_and_healthy_points_are_bit_identical() {
 
     // Fault-free baseline first (no plan installed).
     faults::clear();
-    let baseline = evaluate_batch(&model, &points, &BatchOutput::Moments, Some(4));
+    let baseline = evaluate_batch(&model, &points, &BatchOutput::Moments);
 
     // 10% panics + 10% NaN moments, seeded.
     let plan = FaultPlan {
@@ -126,42 +126,59 @@ fn faulted_batch_answers_every_point_and_healthy_points_are_bit_identical() {
         nan_rate_pct: 10,
         ..FaultPlan::default()
     };
-    faults::install(plan);
-    let outcome = quiet_panics(|| {
-        evaluate_batch_guarded(&model, &points, &BatchOutput::Moments, Some(4), None)
-    });
-    faults::clear();
+    let (model, points) = (Arc::new(model), Arc::new(points));
+    for workers in [1, 2, 4, 8] {
+        let pool = WorkerPool::new(
+            0,
+            PoolConfig {
+                workers,
+                ..PoolConfig::default()
+            },
+        );
+        faults::install(plan);
+        let outcome = quiet_panics(|| {
+            pool.run_batch(
+                Arc::clone(&model),
+                Arc::clone(&points),
+                BatchOutput::Moments,
+                None,
+                None,
+            )
+        });
+        faults::clear();
 
-    // Every point answered.
-    assert_eq!(outcome.results.len(), points.len());
-    let mut panicked = 0u64;
-    let mut poisoned = 0u64;
-    for (i, (got, base)) in outcome.results.iter().zip(&baseline).enumerate() {
-        match plan.fault_for(i) {
-            None => {
-                // Healthy points: bit-identical to the fault-free run
-                // (the faulted run takes the per-point path, the baseline
-                // the SoA kernel — the two must agree to the bit).
-                assert_eq!(got, base, "point {i}");
+        // Every point answered.
+        assert_eq!(outcome.results.len(), points.len());
+        let mut panicked = 0u64;
+        let mut poisoned = 0u64;
+        for (i, (got, base)) in outcome.results.iter().zip(&baseline).enumerate() {
+            match plan.fault_for(i) {
+                None => {
+                    // Healthy points: bit-identical to the fault-free run
+                    // (the faulted run takes the per-point path, the
+                    // baseline the SoA kernel — the two must agree to the
+                    // bit).
+                    assert_eq!(got, base, "point {i}, workers={workers}");
+                }
+                Some(Fault::Panic) => {
+                    let e = got.as_ref().unwrap_err();
+                    assert_eq!(e.code, "internal", "point {i}: {e}");
+                    assert!(e.message.contains("panicked"), "point {i}: {e}");
+                    panicked += 1;
+                }
+                Some(Fault::NanMoments) => {
+                    let e = got.as_ref().unwrap_err();
+                    assert_eq!(e.code, "numeric_unstable", "point {i}: {e}");
+                    poisoned += 1;
+                }
+                Some(Fault::Slow(_)) => unreachable!("no slow faults in this plan"),
             }
-            Some(Fault::Panic) => {
-                let e = got.as_ref().unwrap_err();
-                assert_eq!(e.code, "internal", "point {i}: {e}");
-                assert!(e.message.contains("panicked"), "point {i}: {e}");
-                panicked += 1;
-            }
-            Some(Fault::NanMoments) => {
-                let e = got.as_ref().unwrap_err();
-                assert_eq!(e.code, "numeric_unstable", "point {i}: {e}");
-                poisoned += 1;
-            }
-            Some(Fault::Slow(_)) => unreachable!("no slow faults in this plan"),
         }
+        assert!(panicked > 60, "{panicked}");
+        assert!(poisoned > 60, "{poisoned}");
+        assert_eq!(outcome.panics_caught, panicked, "workers={workers}");
+        assert!(!outcome.deadline_exceeded);
     }
-    assert!(panicked > 60, "{panicked}");
-    assert!(poisoned > 60, "{poisoned}");
-    assert_eq!(outcome.panics_caught, panicked);
-    assert!(!outcome.deadline_exceeded);
 }
 
 #[test]

@@ -32,6 +32,11 @@ step "cargo build --release" cargo build --release
 
 step "cargo test -q" cargo test -q
 
+# The benchmark harness is its own workspace with path dependencies on
+# the crates, so a public-API change that breaks it fails here.
+step "cargo build --release (perfbench harness)" \
+  cargo build --release --manifest-path perfbench/Cargo.toml
+
 step "cargo fmt --check" cargo fmt --check
 
 step "cargo clippy --workspace -- -D warnings" \
