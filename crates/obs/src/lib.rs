@@ -17,6 +17,9 @@
 //! - [`sample`]: [`sample::Sampler`], the cheap `1/N` guard that keeps
 //!   always-compiled profiling hooks (no feature gates) out of the hot
 //!   path's way.
+//! - [`exec`]: the supervised [`exec::Executor`], the one worker pool
+//!   that batch serving and Monte Carlo runs both submit chunked
+//!   [`exec::Job`]s to.
 //!
 //! JSON is produced by a tiny built-in encoder ([`json_escape`]) so the
 //! crate stays dependency-free; the output is plain NDJSON any tool can
@@ -25,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod exec;
 pub mod metrics;
 pub mod sample;
 pub mod trace;

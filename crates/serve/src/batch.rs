@@ -459,11 +459,6 @@ pub(crate) fn eval_chunk(
     }
 }
 
-/// Worker-count default: the machine's available parallelism.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Evaluates `points` against `model` on the calling thread — the serial
 /// reference the worker pool is tested against. Results are returned in
 /// input order; each point independently succeeds or reports a

@@ -191,20 +191,36 @@ pub fn truncate_at(text: &str, keep_fraction: f64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the lib tests that install a plan: the plan is
+    /// process-global, and one test's `install` or `clear` would
+    /// otherwise land in the middle of another's run.
+    pub(crate) fn plan_guard() -> std::sync::MutexGuard<'static, ()> {
+        static PLAN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        PLAN_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn decisions_are_deterministic_and_rate_shaped() {
+        // The plan is process-global and lib tests run in parallel, so
+        // aim it at a shard nothing else in this binary evaluates on.
+        const SHARD: usize = 7778;
+        let _guard = plan_guard();
         install(FaultPlan {
             seed: 42,
             panic_rate_pct: 10,
             nan_rate_pct: 10,
+            target_shard: Some(SHARD),
             ..FaultPlan::default()
         });
         assert!(active());
-        let first: Vec<Option<Fault>> = (0..1000).map(fault_for_point).collect();
-        let second: Vec<Option<Fault>> = (0..1000).map(fault_for_point).collect();
+        let draw = |i| fault_for_point_on(SHARD, i);
+        let first: Vec<Option<Fault>> = (0..1000).map(draw).collect();
+        let second: Vec<Option<Fault>> = (0..1000).map(draw).collect();
         assert_eq!(first, second);
         let panics = first.iter().filter(|f| **f == Some(Fault::Panic)).count();
         let nans = first

@@ -12,9 +12,9 @@
 //! - [`batch`]: per-point evaluation with panic isolation, numeric
 //!   health checks and per-point errors, plus [`evaluate_batch`], the
 //!   serial reference the worker pool is tested against;
-//! - [`pool`]: the persistent [`WorkerPool`] — threads spawned once per
-//!   shard, parked on a job queue, supervised and restarted with capped
-//!   backoff when they die;
+//! - [`pool`]: the persistent [`WorkerPool`] — each batch as a job on the
+//!   shard's supervised `awesym_obs::exec::Executor` (threads spawned
+//!   once, restarted with capped backoff when they die);
 //! - [`shard`]: the crash-isolation layer — [`shard_of`] name placement,
 //!   the warm/cold [`TieredRegistry`], the per-shard [`CircuitBreaker`],
 //!   and the [`Shard`] supervisor tying them together;

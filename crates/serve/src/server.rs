@@ -309,21 +309,19 @@ impl Server {
         let tracer = Tracer::new(TRACE_CAPACITY);
         tracer.set_enabled(config.observe);
         let stats = ServerStats::new();
-        let shard_config = ShardConfig {
+        let mut shard_config = ShardConfig {
             warm_capacity: config.capacity,
             // The cold tier is cheap (no worker state, just parked
             // models), so give demoted models room before they are truly
             // forgotten.
             cold_capacity: (config.capacity * 4).max(1),
-            workers: if config.shard_workers == 0 {
-                crate::batch::default_workers()
-            } else {
-                config.shard_workers
-            },
             max_queue: config.shard_queue,
             retry_after_ms: config.retry_after_ms,
             ..ShardConfig::default()
         };
+        if config.shard_workers > 0 {
+            shard_config.pool.workers = config.shard_workers;
+        }
         let shards = (0..config.shards.max(1))
             .map(|i| Shard::new(i, shard_config, stats.registry()))
             .collect();

@@ -77,7 +77,7 @@ pub fn adaptive_retry_after_ms(base_ms: u64, depth: usize, budget: usize) -> u64
     base.saturating_mul(ratio)
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -347,17 +347,13 @@ pub struct ShardConfig {
     pub warm_capacity: usize,
     /// Cold-tier model capacity.
     pub cold_capacity: usize,
-    /// Pool workers per shard.
-    pub workers: usize,
     /// Concurrent jobs (queued + running) before depth-aware shedding;
     /// 0 disables the bound.
     pub max_queue: usize,
     /// Base overload backoff hint, scaled by queue depth.
     pub retry_after_ms: u64,
-    /// Worker restart backoff (base).
-    pub restart_backoff: Duration,
-    /// Worker restart backoff (ceiling).
-    pub max_restart_backoff: Duration,
+    /// Pool workers per shard and their restart backoff.
+    pub pool: PoolConfig,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
 }
@@ -367,11 +363,9 @@ impl Default for ShardConfig {
         ShardConfig {
             warm_capacity: 16,
             cold_capacity: 64,
-            workers: crate::batch::default_workers(),
+            pool: PoolConfig::default(),
             max_queue: 64,
             retry_after_ms: 50,
-            restart_backoff: Duration::from_millis(10),
-            max_restart_backoff: Duration::from_secs(2),
             breaker: BreakerConfig::default(),
         }
     }
@@ -464,14 +458,7 @@ impl Shard {
             id,
             config,
             registry: TieredRegistry::new(config.warm_capacity, config.cold_capacity),
-            pool: WorkerPool::new(
-                id,
-                PoolConfig {
-                    workers: config.workers,
-                    restart_backoff: config.restart_backoff,
-                    max_restart_backoff: config.max_restart_backoff,
-                },
-            ),
+            pool: WorkerPool::new(id, config.pool),
             breaker: CircuitBreaker::new(config.breaker),
             queue_depth: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
@@ -564,13 +551,13 @@ impl Shard {
         max_workers: Option<usize>,
     ) -> Result<BatchOutcome, ServeError> {
         let _depth = self.admit()?;
-        let deaths_before = self.pool.deaths();
-        let restarts_before = self.pool.restarts();
+        let deaths_before = self.pool.executor().deaths();
+        let restarts_before = self.pool.executor().restarts();
         let outcome = self
             .pool
             .run_batch(model, points, output, deadline, max_workers);
-        let deaths = self.pool.deaths() - deaths_before;
-        let restarts = self.pool.restarts() - restarts_before;
+        let deaths = self.pool.executor().deaths() - deaths_before;
+        let restarts = self.pool.executor().restarts() - restarts_before;
         if restarts > 0 {
             self.metrics.restarts.add(restarts);
         }
@@ -590,7 +577,7 @@ impl Shard {
     /// One supervision pass on the pool (also run implicitly on every
     /// submission); returns workers respawned.
     pub fn supervise(&self) -> usize {
-        let respawned = self.pool.supervise();
+        let respawned = self.pool.executor().supervise();
         if respawned > 0 {
             self.metrics.restarts.add(respawned as u64);
         }
@@ -602,10 +589,10 @@ impl Shard {
         ShardHealth {
             shard: self.id as u64,
             breaker: self.breaker.phase_name().to_string(),
-            workers: self.pool.workers() as u64,
-            alive: self.pool.alive() as u64,
-            restarts: self.pool.restarts(),
-            worker_deaths: self.pool.deaths(),
+            workers: self.pool.executor().workers() as u64,
+            alive: self.pool.executor().alive() as u64,
+            restarts: self.pool.executor().restarts(),
+            worker_deaths: self.pool.executor().deaths(),
             breaker_opened: self.breaker.opened_total(),
             queue_depth: self.queue_depth() as u64,
             draining: self.is_draining(),
@@ -619,7 +606,7 @@ impl Shard {
         self.supervise();
         !self.is_draining()
             && self.breaker.phase_name() == "closed"
-            && self.pool.alive() >= self.pool.workers()
+            && self.pool.executor().alive() >= self.pool.executor().workers()
     }
 }
 
@@ -758,7 +745,10 @@ mod tests {
             0,
             ShardConfig {
                 max_queue: 1,
-                workers: 1,
+                pool: PoolConfig {
+                    workers: 1,
+                    ..PoolConfig::default()
+                },
                 retry_after_ms: 30,
                 ..ShardConfig::default()
             },
@@ -811,7 +801,10 @@ mod tests {
         let shard = Shard::new(
             3,
             ShardConfig {
-                workers: 2,
+                pool: PoolConfig {
+                    workers: 2,
+                    ..PoolConfig::default()
+                },
                 ..ShardConfig::default()
             },
             &obs,

@@ -21,7 +21,8 @@
 
 use awesym_serve::faults::{self, FaultPlan};
 use awesym_serve::{
-    shard_of, BatchOutput, BreakerConfig, ServeError, Server, ServerConfig, Shard, ShardConfig,
+    shard_of, BatchOutput, BreakerConfig, PoolConfig, ServeError, Server, ServerConfig, Shard,
+    ShardConfig,
 };
 use serde::Content;
 use std::sync::{Arc, Mutex};
@@ -324,9 +325,11 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
     let shard = Shard::new(
         SHARD,
         ShardConfig {
-            workers: 2,
-            restart_backoff: Duration::from_millis(1),
-            max_restart_backoff: Duration::from_millis(20),
+            pool: PoolConfig {
+                workers: 2,
+                restart_backoff: Duration::from_millis(1),
+                max_restart_backoff: Duration::from_millis(20),
+            },
             breaker: BreakerConfig {
                 threshold: 2,
                 cooldown: Duration::from_millis(40),

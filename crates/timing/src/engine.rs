@@ -1,6 +1,7 @@
-//! Streaming Monte Carlo engine: a persistent worker pool that drives a
-//! compiled task's batch evaluator through fixed-size sample blocks and
-//! folds every block into merge-order-invariant online accumulators.
+//! Streaming Monte Carlo engine: a job on the supervised
+//! [`Executor`] that drives a compiled task's batch evaluator through
+//! fixed-size sample blocks and folds every block into
+//! merge-order-invariant online accumulators.
 //!
 //! ## Determinism contract
 //!
@@ -9,29 +10,35 @@
 //!
 //! 1. each block's samples come from a [`BlockRng`](crate::sample::BlockRng)
 //!    keyed only by `(seed, block_index)` — never by thread identity;
-//! 2. workers claim whole blocks from a shared atomic counter (coarse
-//!    work-stealing), so a block's *contents* do not depend on who runs it;
-//! 3. the per-worker [`YieldAccumulator`]s are merge-order invariant (see
-//!    `accum`): integer counters commute exactly, and floating-point
-//!    Welford partials are folded in canonical block order at the end.
+//! 2. blocks are the executor's chunks, claimed whole from its atomic
+//!    frontier (coarse work-stealing), so a block's *contents* do not
+//!    depend on who runs it;
+//! 3. the per-participant [`YieldAccumulator`]s are merge-order and
+//!    merge-count invariant (see `accum`): integer counters commute
+//!    exactly, and floating-point Welford partials are folded in
+//!    canonical block order at the end.
 //!
 //! Memory is O(blocks) for the Welford partials plus O(block_size) scratch
 //! per worker — no per-sample vector is ever materialized, so a 10⁷-sample
 //! run costs the same resident memory as a 10⁴-sample one.
 //!
-//! ## Pool lifecycle
+//! ## Execution
 //!
-//! Threads spawn once in [`McEngine::new`] and park on a condvar between
-//! jobs; each [`McEngine::run`] publishes one job (epoch bump), waits for
-//! all workers to check in, and merges their accumulators. Workers build
-//! their [`BlockWorker`] (evaluators + scratch) once at spawn and reuse it
-//! across every job — the pattern `awesym-serve`'s per-request spawning
-//! left on the table (see ROADMAP).
+//! Threads spawn once in [`McEngine::new`] (an [`Executor`], the same
+//! supervised executor that serves batches); each [`McEngine::run`]
+//! submits one job and waits for it. A thread that takes part in the job
+//! builds a [`BlockWorker`] (evaluators + scratch) and a
+//! [`YieldAccumulator`], claims blocks until none are left, and deposits
+//! its accumulator as it leaves; `run` merges the deposits. A block that
+//! panics is re-raised on the caller of `run` once every block is
+//! accounted for, and supervision replaces the thread it retired.
 
 use crate::accum::{QuantileGrid, Summary, YieldAccumulator};
+use awesym_obs::exec::{Executor, Job, PoolConfig};
 use awesym_obs::Registry;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::any::Any;
+use std::sync::mpsc::{self, Sender};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One unit of work: which block, how many samples it holds, and the run
@@ -62,8 +69,8 @@ pub trait McTask: Send + Sync {
     type Worker<'a>: BlockWorker
     where
         Self: 'a;
-    /// Builds one worker. Called once per pool thread at spawn; the
-    /// worker is reused across jobs.
+    /// Builds one worker. Called once per thread taking part in a run;
+    /// the worker serves every block that thread claims.
     fn make_worker(&self) -> Self::Worker<'_>;
 }
 
@@ -118,10 +125,6 @@ impl McConfig {
         self.block_size = block_size;
         self
     }
-
-    fn n_blocks(&self) -> u64 {
-        self.samples.div_ceil(self.block_size as u64)
-    }
 }
 
 /// A finished run: the statistical [`Summary`] plus throughput facts.
@@ -133,45 +136,20 @@ pub struct McReport {
     pub wall_secs: f64,
     /// Samples per wall-clock second.
     pub samples_per_sec: f64,
-    /// Worker threads in the pool.
+    /// Worker threads in the engine.
     pub workers: usize,
-}
-
-/// One published job. Workers read everything through the `Arc`; the
-/// atomic counter is the work-stealing frontier.
-struct Job {
-    cfg: McConfig,
-    next_block: Arc<AtomicU64>,
-    n_blocks: u64,
-}
-
-/// Pool state guarded by one mutex: the current job (bumped epoch
-/// publishes it), the shutdown flag, and the per-job result inbox.
-struct Slot {
-    epoch: u64,
-    shutdown: bool,
-    job: Option<Job>,
-    done: usize,
-    results: Vec<YieldAccumulator>,
-}
-
-struct Shared {
-    slot: Mutex<Slot>,
-    start: Condvar,
-    finish: Condvar,
 }
 
 /// Persistent-pool streaming Monte Carlo engine over a compiled task.
 ///
 /// Spawns its worker threads once at construction; [`McEngine::run`] can
 /// then be called any number of times (e.g. a benchmark's repetitions)
-/// without paying thread or evaluator setup again. Dropping the engine
-/// shuts the pool down.
+/// without paying thread setup again. Dropping the engine shuts the
+/// threads down.
 pub struct McEngine<T: McTask + 'static> {
     task: Arc<T>,
-    shared: Arc<Shared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    metrics: EngineMetrics,
+    exec: Executor,
+    metrics: Arc<EngineMetrics>,
 }
 
 /// The engine's observability surface (all registered on the caller's
@@ -187,9 +165,77 @@ struct EngineMetrics {
 /// Block-latency histogram edges: 1 µs … 100 ms in decade-ish steps.
 const BLOCK_NS_EDGES: &[u64] = &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
+/// One run as an executor job: blocks are chunks, and every participant
+/// deposits its accumulator on leaving.
+struct McJob<T: McTask + 'static> {
+    task: Arc<T>,
+    cfg: McConfig,
+    metrics: Arc<EngineMetrics>,
+    /// Accumulators deposited by participants as they leave.
+    deposits: Sender<YieldAccumulator>,
+    /// Block panics, the first of which `run` re-raises on its caller.
+    panics: Sender<Box<dyn Any + Send>>,
+}
+
+/// One thread's share of a run.
+struct McParticipant<W> {
+    worker: W,
+    acc: YieldAccumulator,
+    buf: Vec<f64>,
+}
+
+impl<T: McTask + 'static> Job for McJob<T> {
+    type Participant<'a> = McParticipant<T::Worker<'a>>;
+
+    fn chunks(&self) -> usize {
+        let blocks = self.cfg.samples.div_ceil(self.cfg.block_size as u64);
+        usize::try_from(blocks).expect("block count fits in usize")
+    }
+
+    fn join(&self, _pooled: bool) -> Self::Participant<'_> {
+        McParticipant {
+            worker: self.task.make_worker(),
+            acc: YieldAccumulator::new(self.cfg.grid, self.cfg.deadline),
+            buf: Vec::new(),
+        }
+    }
+
+    fn run_chunk(&self, p: &mut Self::Participant<'_>, chunk: usize) {
+        let cfg = &self.cfg;
+        let b = chunk as u64;
+        let remaining = cfg.samples - b * cfg.block_size as u64;
+        let count = (cfg.block_size as u64).min(remaining) as usize;
+        let t0 = Instant::now();
+        p.worker.run_block(
+            BlockSpec {
+                index: b,
+                count,
+                seed: cfg.seed,
+            },
+            &mut p.buf,
+        );
+        debug_assert_eq!(p.buf.len(), count, "worker filled the block");
+        p.acc.push_block(b, &p.buf);
+        self.metrics
+            .block_ns
+            .observe(t0.elapsed().as_nanos() as u64);
+        self.metrics.blocks.inc();
+        self.metrics.samples.add(count as u64);
+    }
+
+    fn chunk_panicked(&self, _chunk: usize, payload: Box<dyn Any + Send>) {
+        // `run` holds the receivers until the job completes.
+        let _ = self.panics.send(payload);
+    }
+
+    fn leave(&self, p: Self::Participant<'_>) {
+        let _ = self.deposits.send(p.acc);
+    }
+}
+
 impl<T: McTask + 'static> McEngine<T> {
-    /// Spawns a pool of `workers` threads over `task`. Each thread builds
-    /// its [`BlockWorker`] immediately and parks until the first job.
+    /// Spawns `workers` threads over `task`. Each thread builds its
+    /// [`BlockWorker`] when it takes part in a run.
     ///
     /// Metrics (`mc_blocks_total`, `mc_samples_total`, `mc_merges_total`,
     /// `mc_block_ns`, `mc_samples_per_sec`) register on `registry`.
@@ -199,180 +245,71 @@ impl<T: McTask + 'static> McEngine<T> {
     /// Panics when `workers == 0`.
     pub fn new(task: Arc<T>, workers: usize, registry: &Registry) -> Self {
         assert!(workers > 0, "engine needs at least one worker");
-        let shared = Arc::new(Shared {
-            slot: Mutex::new(Slot {
-                epoch: 0,
-                shutdown: false,
-                job: None,
-                done: 0,
-                results: Vec::new(),
-            }),
-            start: Condvar::new(),
-            finish: Condvar::new(),
-        });
-        let metrics = EngineMetrics {
+        let metrics = Arc::new(EngineMetrics {
             blocks: registry.counter("mc_blocks_total"),
             samples: registry.counter("mc_samples_total"),
             merges: registry.counter("mc_merges_total"),
             block_ns: registry.histogram("mc_block_ns", BLOCK_NS_EDGES),
             samples_per_sec: registry.gauge("mc_samples_per_sec"),
-        };
-        let handles = (0..workers)
-            .map(|_| {
-                let task = Arc::clone(&task);
-                let shared = Arc::clone(&shared);
-                let blocks_c = Arc::clone(&metrics.blocks);
-                let samples_c = Arc::clone(&metrics.samples);
-                let block_ns = Arc::clone(&metrics.block_ns);
-                std::thread::spawn(move || {
-                    worker_loop(&*task, &shared, &blocks_c, &samples_c, &block_ns);
-                })
-            })
-            .collect();
+        });
         McEngine {
             task,
-            shared,
-            handles,
+            exec: Executor::new(
+                "awesym-mc",
+                PoolConfig {
+                    workers,
+                    ..PoolConfig::default()
+                },
+            ),
             metrics,
         }
     }
 
-    /// The task this engine runs.
-    pub fn task(&self) -> &T {
-        &self.task
-    }
-
-    /// Number of pool threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Runs one Monte Carlo job to completion and returns the merged
     /// report. Blocks the calling thread; the pool does the work.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of a [`BlockWorker`], once every block
+    /// is accounted for. The engine stays usable.
     pub fn run(&self, cfg: &McConfig) -> McReport {
         assert!(cfg.block_size > 0, "block size must be positive");
         let t0 = Instant::now();
-        let n_blocks = cfg.n_blocks();
-        let workers = self.handles.len();
-        {
-            let mut slot = self.shared.slot.lock().unwrap();
-            slot.job = Some(Job {
-                cfg: *cfg,
-                next_block: Arc::new(AtomicU64::new(0)),
-                n_blocks,
-            });
-            slot.done = 0;
-            slot.results = Vec::with_capacity(workers);
-            slot.epoch += 1;
-            self.shared.start.notify_all();
-            // Wait for every worker to deposit its accumulator.
-            while slot.done < workers {
-                slot = self.shared.finish.wait(slot).unwrap();
-            }
-            slot.job = None;
-            let mut results = std::mem::take(&mut slot.results);
-            drop(slot);
-
-            // Deterministic merge: worker deposit order varies run to run,
-            // but the accumulator's merge is order-invariant by
-            // construction, so any order yields bit-identical results.
-            let mut acc = results.pop().expect("at least one worker result");
-            for other in &results {
-                acc.merge(other);
-                self.metrics.merges.inc();
-            }
-            let summary = acc.finish();
-            let wall_secs = t0.elapsed().as_secs_f64();
-            let samples_per_sec = if wall_secs > 0.0 {
-                summary.samples as f64 / wall_secs
-            } else {
-                0.0
-            };
-            self.metrics.samples_per_sec.set(samples_per_sec as i64);
-            McReport {
-                summary,
-                wall_secs,
-                samples_per_sec,
-                workers,
-            }
-        }
-    }
-}
-
-impl<T: McTask + 'static> Drop for McEngine<T> {
-    fn drop(&mut self) {
-        {
-            let mut slot = self.shared.slot.lock().unwrap();
-            slot.shutdown = true;
-            self.shared.start.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            // A worker that panicked already poisoned the run it was part
-            // of; surface it here rather than swallowing.
-            if let Err(e) = h.join() {
-                std::panic::resume_unwind(e);
-            }
-        }
-    }
-}
-
-/// The body each pool thread runs: build the worker once, then serve jobs
-/// until shutdown.
-fn worker_loop<T: McTask>(
-    task: &T,
-    shared: &Shared,
-    blocks_c: &awesym_obs::Counter,
-    samples_c: &awesym_obs::Counter,
-    block_ns: &awesym_obs::Histogram,
-) {
-    let mut worker = task.make_worker();
-    let mut buf: Vec<f64> = Vec::new();
-    let mut seen_epoch = 0u64;
-    loop {
-        // Park until a new job epoch (or shutdown) appears.
-        let (cfg, next_block, n_blocks) = {
-            let mut slot = shared.slot.lock().unwrap();
-            loop {
-                if slot.shutdown {
-                    return;
-                }
-                if slot.epoch != seen_epoch {
-                    seen_epoch = slot.epoch;
-                    let job = slot.job.as_ref().expect("epoch bump publishes a job");
-                    break (job.cfg, Arc::clone(&job.next_block), job.n_blocks);
-                }
-                slot = shared.start.wait(slot).unwrap();
-            }
+        let (deposits, deposited) = mpsc::channel();
+        let (panics, panicked) = mpsc::channel();
+        let job = McJob {
+            task: Arc::clone(&self.task),
+            cfg: *cfg,
+            metrics: Arc::clone(&self.metrics),
+            deposits,
+            panics,
         };
-
-        let mut acc = YieldAccumulator::new(cfg.grid, cfg.deadline);
-        loop {
-            let b = next_block.fetch_add(1, Ordering::Relaxed);
-            if b >= n_blocks {
-                break;
-            }
-            let remaining = cfg.samples - b * cfg.block_size as u64;
-            let count = (cfg.block_size as u64).min(remaining) as usize;
-            let t0 = Instant::now();
-            worker.run_block(
-                BlockSpec {
-                    index: b,
-                    count,
-                    seed: cfg.seed,
-                },
-                &mut buf,
-            );
-            debug_assert_eq!(buf.len(), count, "worker filled the block");
-            acc.push_block(b, &buf);
-            block_ns.observe(t0.elapsed().as_nanos() as u64);
-            blocks_c.inc();
-            samples_c.add(count as u64);
+        self.exec.run(Arc::new(job), usize::MAX);
+        if let Ok(payload) = panicked.try_recv() {
+            std::panic::resume_unwind(payload);
         }
-
-        let mut slot = shared.slot.lock().unwrap();
-        slot.results.push(acc);
-        slot.done += 1;
-        shared.finish.notify_all();
+        // Deterministic merge: deposit order and count vary run to run,
+        // but the accumulator's merge is order- and count-invariant by
+        // construction, so any schedule yields bit-identical results.
+        let mut acc = YieldAccumulator::new(cfg.grid, cfg.deadline);
+        for other in deposited.try_iter() {
+            acc.merge(&other);
+            self.metrics.merges.inc();
+        }
+        let summary = acc.finish();
+        let wall_secs = t0.elapsed().as_secs_f64();
+        let samples_per_sec = if wall_secs > 0.0 {
+            summary.samples as f64 / wall_secs
+        } else {
+            0.0
+        };
+        self.metrics.samples_per_sec.set(samples_per_sec as i64);
+        McReport {
+            summary,
+            wall_secs,
+            samples_per_sec,
+            workers: self.exec.workers(),
+        }
     }
 }
 

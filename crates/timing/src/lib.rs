@@ -16,10 +16,10 @@
 //!   compiles to an optimized moment tape over `rdrv`/`cload` symbols, and
 //!   the path delay composes per-stage 50 %-delay metrics under shared
 //!   global + per-stage process variation;
-//! - [`engine`] — the persistent-pool streaming engine
-//!   ([`engine::McEngine`]): threads spawn once, steal whole blocks from an
-//!   atomic counter, drive the SoA batch evaluator, and deposit
-//!   accumulators that merge bit-identically at any worker count.
+//! - [`engine`] — the streaming engine ([`engine::McEngine`]): a job on
+//!   the supervised `awesym_obs::exec::Executor` whose threads claim whole
+//!   blocks, drive the SoA batch evaluator, and deposit accumulators that
+//!   merge bit-identically at any worker count.
 //!
 //! See `docs/timing.md` for the model, symbol conventions, the determinism
 //! guarantee, and CLI usage (`awesym timing`).
