@@ -1,6 +1,9 @@
 //! Streaming Monte Carlo timing benchmark: samples/s of the compiled
 //! gate-chain yield engine at 1/2/4/8 workers, plus the determinism check
-//! (bit-identical summaries across worker counts).
+//! (bit-identical summaries across worker counts), and the per-layer
+//! cost of a sample at one worker: the chain worker's `draw` step (normals
+//! → stage points), its `delays` step (stage tapes + delay metric) and the
+//! accumulator's `push_block`.
 //!
 //! ```text
 //! cargo run --release -p awesym-bench --bin timing_bench
@@ -20,11 +23,15 @@
 //! not thread/evaluator setup.
 
 use awesym_bench::time_median;
-use awesym_timing::{ChainSpec, GateChain, McConfig, McEngine, McReport, QuantileGrid};
+use awesym_timing::{
+    BlockSpec, ChainSpec, GateChain, McConfig, McEngine, McReport, McTask, QuantileGrid,
+    YieldAccumulator, RNG_STREAM,
+};
 use awesymbolic::parse_value;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -33,6 +40,52 @@ struct WorkerResult {
     secs: f64,
     samples_per_sec: f64,
     report: McReport,
+}
+
+/// Per-layer ns/sample at one worker, each the median over reps.
+struct Layers {
+    rng: f64,
+    eval: f64,
+    accum: f64,
+}
+
+/// Runs `cfg` block by block on one chain worker, timing its `draw` and
+/// `delays` steps and the accumulator's `push_block` separately.
+fn measure_layers(chain: &GateChain, cfg: &McConfig, reps: usize) -> Layers {
+    let mut worker = chain.make_worker();
+    let mut out = Vec::new();
+    let mut per_rep: [Vec<f64>; 3] = Default::default();
+    let block_size = cfg.block_size as u64;
+    for _ in 0..reps {
+        let mut acc = YieldAccumulator::new(cfg.grid, cfg.deadline);
+        let mut secs = [0.0; 3];
+        for index in 0..cfg.samples.div_ceil(block_size) {
+            let count = (cfg.samples - index * block_size).min(block_size) as usize;
+            let t0 = Instant::now();
+            worker.draw(BlockSpec {
+                index,
+                count,
+                seed: cfg.seed,
+            });
+            let t1 = Instant::now();
+            worker.delays(&mut out);
+            let t2 = Instant::now();
+            acc.push_block(index, &out);
+            let t3 = Instant::now();
+            secs[0] += (t1 - t0).as_secs_f64();
+            secs[1] += (t2 - t1).as_secs_f64();
+            secs[2] += (t3 - t2).as_secs_f64();
+        }
+        std::hint::black_box(acc.finish());
+        for (v, s) in per_rep.iter_mut().zip(secs) {
+            v.push(s * 1e9 / cfg.samples as f64);
+        }
+    }
+    let [rng, eval, accum] = per_rep.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    Layers { rng, eval, accum }
 }
 
 struct RunParams {
@@ -47,6 +100,7 @@ fn json_report(
     params: &RunParams,
     chain: &GateChain,
     results: &[WorkerResult],
+    layers: &Layers,
     deterministic: bool,
 ) -> String {
     let base = &results[0].report.summary;
@@ -60,6 +114,7 @@ fn json_report(
     let _ = writeln!(s, "  \"host_cpus\": {},", params.host_cpus);
     let _ = writeln!(s, "  \"tape_ops\": {},", chain.op_count());
     let _ = writeln!(s, "  \"nominal_delay_s\": {:e},", chain.nominal_delay());
+    let _ = writeln!(s, "  \"rng_stream\": \"{RNG_STREAM}\",");
     let _ = writeln!(s, "  \"deterministic_across_workers\": {deterministic},");
     let _ = writeln!(s, "  \"summary\": {{");
     let _ = writeln!(s, "    \"mean_s\": {:e},", base.mean);
@@ -74,6 +129,11 @@ fn json_report(
     );
     let _ = writeln!(s, "    \"invalid\": {}", base.invalid);
     let _ = writeln!(s, "  }},");
+    let _ = writeln!(
+        s,
+        "  \"layers\": {{\"unit\": \"ns/sample\", \"workers\": 1, \"rng\": {:e}, \"eval\": {:e}, \"accum\": {:e}}},",
+        layers.rng, layers.eval, layers.accum
+    );
     s.push_str("  \"runs\": [\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
@@ -178,6 +238,12 @@ fn main() {
         }
     );
 
+    let layers = measure_layers(&task, &cfg, reps);
+    println!(
+        "\nper-layer ns/sample at 1 worker: rng {:.1}, eval {:.1}, accum {:.1}",
+        layers.rng, layers.eval, layers.accum
+    );
+
     let out = out_path.map_or_else(
         || Path::new("results").join("BENCH_timing.json"),
         std::path::PathBuf::from,
@@ -197,6 +263,7 @@ fn main() {
             },
             &task,
             &results,
+            &layers,
             deterministic,
         ),
     )

@@ -720,6 +720,10 @@ fn cmd_timing(args: &[&str]) -> Result<String, String> {
         ),
         ("workers".into(), Content::U64(report.workers as u64)),
         ("seed".into(), Content::U64(seed)),
+        (
+            "rng_stream".into(),
+            Content::Str(awesym_timing::RNG_STREAM.into()),
+        ),
         ("block_size".into(), Content::U64(block as u64)),
         ("wall_s".into(), Content::F64(report.wall_secs)),
         (
@@ -911,6 +915,7 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("\"metric\":\"mc_samples_total\""), "{out}");
+        assert!(out.contains("\"rng_stream\":\"v2\""), "{out}");
         // Every stdout line is one JSON object (NDJSON contract).
         for line in out.lines() {
             serde_json::from_str::<serde_json::Value>(line)

@@ -12,18 +12,20 @@
 //!
 //! ## Process-variation model
 //!
-//! Every sample draws, in a pinned order from the block's [`BlockRng`]:
+//! Every sample takes the next `2 + 2n` standard normals of the block's
+//! [`BlockRng`] normal sequence, in a pinned order:
 //!
-//! 1. `g_r`, `g_c` — **global** (chip-wide) log-normal factors shared by
-//!    every stage's driver resistance / load capacitance;
-//! 2. per stage, in path order: `l_r`, `l_c` — **local** (per-gate)
-//!    log-normal factors.
+//! 1. `z_gr`, `z_gc` — **global** (chip-wide), shared by every stage's
+//!    driver resistance / load capacitance;
+//! 2. per stage, in path order: `z_lr`, `z_lc` — **local** (per-gate).
 //!
-//! Stage `i` is then evaluated at `(Rdrv_i · g_r · l_r, Cload_i · g_c ·
-//! l_c)`, and the path delay is the sum of per-stage 50 %-delay metrics
-//! computed from each stage's compiled moments.
+//! Stage `i` is then evaluated at
+//! `(Rdrv_i · exp(σ_gr·z_gr + σ_lr·z_lr), Cload_i · exp(σ_gc·z_gc + σ_lc·z_lc))`:
+//! the product of a global and a local log-normal factor, fused into one
+//! exponential per symbol. The path delay is the sum of per-stage
+//! 50 %-delay metrics computed from each stage's compiled moments.
 
-use crate::sample::BlockRng;
+use crate::sample::{exp_v2, BlockRng};
 use crate::{BlockSpec, BlockWorker, McTask};
 use awesym_circuit::generators::gate_stage;
 use awesym_partition::{CompiledModel, ModelOptions, PartitionError, SymbolBinding};
@@ -232,17 +234,27 @@ impl GateChain {
         self.stages.iter().map(|s| s.model.op_count()).sum()
     }
 
-    /// Path delay of one concrete sample given its variation factors —
-    /// the scalar reference the streaming engine's batch path must match
+    /// Standard normals one sample consumes: the global pair, then one
+    /// local pair per stage.
+    pub fn normals_per_sample(&self) -> usize {
+        2 + 2 * self.stages.len()
+    }
+
+    /// Path delay of one sample given its `2 + 2n` normals in draw order
+    /// — the scalar reference the streaming engine's batch path must match
     /// bit for bit (used by tests).
-    pub fn sample_delay(&self, g: [f64; 2], locals: &[[f64; 2]]) -> f64 {
-        assert_eq!(locals.len(), self.stages.len(), "one local pair per stage");
+    pub fn sample_delay(&self, z: &[f64]) -> f64 {
+        assert_eq!(
+            z.len(),
+            self.normals_per_sample(),
+            "2 + 2n normals per sample"
+        );
+        let sigma_g = [self.spec.sigma_global_r, self.spec.sigma_global_c];
         let mut total = 0.0;
-        for (stage, l) in self.stages.iter().zip(locals) {
-            let vals = [
-                stage.nominal[0] * g[0] * l[0],
-                stage.nominal[1] * g[1] * l[1],
-            ];
+        for (s, stage) in self.stages.iter().enumerate() {
+            let vals: [f64; 2] = std::array::from_fn(|k| {
+                stage.nominal[k] * exp_v2(sigma_g[k] * z[k] + stage.sigma[k] * z[2 + 2 * s + k])
+            });
             let m = stage.model.eval_moments(&vals);
             total += stage_delay(&m, self.spec.metric);
         }
@@ -273,6 +285,10 @@ pub fn stage_delay(m: &[f64], metric: DelayMetric) -> f64 {
     }
 }
 
+/// Samples whose normals [`ChainWorker::draw`] generates at a time: one
+/// sub-block of normals stays in L1 while its factor columns are formed.
+const SUB_BLOCK: usize = 64;
+
 /// Per-worker state for a [`GateChain`] run: one [`Evaluator`] per stage
 /// (owned scratch, reused across every block the worker processes) plus
 /// the SoA point/moment buffers.
@@ -281,6 +297,10 @@ pub struct ChainWorker<'a> {
     evals: Vec<Evaluator<'a>>,
     /// Per stage: the block's symbol points (`count × 2`).
     points: Vec<Vec<Vec<f64>>>,
+    /// Samples the last [`ChainWorker::draw`] wrote into `points`.
+    drawn: usize,
+    /// One sub-block's normals, sample-major.
+    normals: Vec<f64>,
     moments: Vec<f64>,
 }
 
@@ -289,48 +309,75 @@ impl<'a> ChainWorker<'a> {
         ChainWorker {
             evals: chain.stages.iter().map(|s| s.model.evaluator()).collect(),
             points: vec![Vec::new(); chain.stages.len()],
+            drawn: 0,
+            normals: vec![0.0; SUB_BLOCK * chain.normals_per_sample()],
             moments: Vec::new(),
             chain,
+        }
+    }
+
+    /// The sampling step of [`BlockWorker::run_block`]: draws the block's
+    /// normals a sub-block at a time and turns them into every stage's
+    /// symbol points, one column pass per (stage, symbol) computing
+    /// `nominal · exp(σ_g·z_g + σ_l·z_l)`.
+    pub fn draw(&mut self, block: BlockSpec) {
+        let chain = self.chain;
+        let width = chain.normals_per_sample();
+        let count = block.count;
+        for pts in &mut self.points {
+            pts.resize_with(count, || vec![0.0; 2]);
+        }
+        let sigma_g = [chain.spec.sigma_global_r, chain.spec.sigma_global_c];
+        let mut rng = BlockRng::new(block.seed, block.index);
+        for start in (0..count).step_by(SUB_BLOCK) {
+            let n = SUB_BLOCK.min(count - start);
+            let z = &mut self.normals[..n * width];
+            rng.fill_normals(z);
+            for (s, stage) in chain.stages.iter().enumerate() {
+                for k in 0..2 {
+                    // Same expression as `GateChain::sample_delay`, split
+                    // into gather, exponential and scatter passes so the
+                    // exponential runs over a fixed-size column.
+                    let mut col = [0.0; SUB_BLOCK];
+                    for (c, zj) in col.iter_mut().zip(z.chunks_exact(width)) {
+                        *c = sigma_g[k] * zj[k] + stage.sigma[k] * zj[2 + 2 * s + k];
+                    }
+                    for c in &mut col {
+                        *c = exp_v2(*c);
+                    }
+                    for (p, c) in self.points[s][start..start + n].iter_mut().zip(&col) {
+                        p[k] = stage.nominal[k] * c;
+                    }
+                }
+            }
+        }
+        self.drawn = count;
+    }
+
+    /// The evaluation step of [`BlockWorker::run_block`]: runs every
+    /// stage's tape over the points of the last [`ChainWorker::draw`] and
+    /// writes each sample's path delay into `out`.
+    pub fn delays(&mut self, out: &mut Vec<f64>) {
+        let count = self.drawn;
+        out.clear();
+        out.resize(count, 0.0);
+        for (ev, points) in self.evals.iter().zip(&self.points) {
+            let n_out = ev.n_outputs();
+            self.moments.resize(count * n_out, 0.0);
+            ev.eval_batch(&points[..count], &mut self.moments);
+            for (o, m) in out.iter_mut().zip(self.moments.chunks_exact(n_out)) {
+                // NaN from any stage poisons the sample's sum, which the
+                // accumulator then counts as invalid.
+                *o += stage_delay(m, self.chain.spec.metric);
+            }
         }
     }
 }
 
 impl BlockWorker for ChainWorker<'_> {
     fn run_block(&mut self, block: BlockSpec, out: &mut Vec<f64>) {
-        let chain = self.chain;
-        let n_stages = chain.stages.len();
-        let count = block.count;
-        for pts in &mut self.points {
-            pts.resize_with(count, || vec![0.0; 2]);
-        }
-        // Draw order (per sample): global pair, then each stage's local
-        // pair in path order. Pinned — see module docs.
-        let mut rng = BlockRng::new(block.seed, block.index);
-        for j in 0..count {
-            let g_r = rng.log_normal(chain.spec.sigma_global_r);
-            let g_c = rng.log_normal(chain.spec.sigma_global_c);
-            for (s, stage) in chain.stages.iter().enumerate() {
-                let l_r = rng.log_normal(stage.sigma[0]);
-                let l_c = rng.log_normal(stage.sigma[1]);
-                let p = &mut self.points[s][j];
-                p[0] = stage.nominal[0] * g_r * l_r;
-                p[1] = stage.nominal[1] * g_c * l_c;
-            }
-        }
-        out.clear();
-        out.resize(count, 0.0);
-        for s in 0..n_stages {
-            let ev = &self.evals[s];
-            let n_out = ev.n_outputs();
-            self.moments.resize(count * n_out, 0.0);
-            ev.eval_batch(&self.points[s][..count], &mut self.moments);
-            for (j, o) in out.iter_mut().enumerate() {
-                let m = &self.moments[j * n_out..(j + 1) * n_out];
-                // NaN from any stage poisons the sample's sum, which the
-                // accumulator then counts as invalid.
-                *o += stage_delay(m, chain.spec.metric);
-            }
-        }
+        self.draw(block);
+        self.delays(out);
     }
 }
 
@@ -382,28 +429,26 @@ mod tests {
     fn block_worker_matches_scalar_reference() {
         let chain = GateChain::compile(&tiny_spec()).unwrap();
         let mut worker = chain.make_worker();
-        let block = BlockSpec {
-            index: 5,
-            count: 23,
-            seed: 0xFACE,
-        };
-        let mut out = Vec::new();
-        worker.run_block(block, &mut out);
-        assert_eq!(out.len(), 23);
-        // Re-derive each sample with the scalar path from the same stream.
-        let mut rng = BlockRng::new(0xFACE, 5);
-        for (j, &batch) in out.iter().enumerate() {
-            let g = [
-                rng.log_normal(chain.spec().sigma_global_r),
-                rng.log_normal(chain.spec().sigma_global_c),
-            ];
-            let locals: Vec<[f64; 2]> = chain
-                .stages()
-                .iter()
-                .map(|s| [rng.log_normal(s.sigma[0]), rng.log_normal(s.sigma[1])])
-                .collect();
-            let scalar = chain.sample_delay(g, &locals);
-            assert_eq!(batch, scalar, "sample {j}");
+        // 150 samples span two full normal sub-blocks and a short one; the
+        // reused worker then runs a shorter block.
+        for (index, count) in [(5, 150), (6, 23)] {
+            let block = BlockSpec {
+                index,
+                count,
+                seed: 0xFACE,
+            };
+            let mut out = Vec::new();
+            worker.run_block(block, &mut out);
+            assert_eq!(out.len(), count);
+            // Re-derive each sample with the scalar path from the same
+            // stream.
+            let mut rng = BlockRng::new(0xFACE, index);
+            let mut z = vec![0.0; chain.normals_per_sample()];
+            for (j, &batch) in out.iter().enumerate() {
+                rng.fill_normals(&mut z);
+                let scalar = chain.sample_delay(&z);
+                assert_eq!(batch, scalar, "block {index} sample {j}");
+            }
         }
     }
 

@@ -7,7 +7,8 @@
 //!
 //! - [`sample`] — counter-based per-block RNG ([`sample::BlockRng`]):
 //!   `(seed, block_index)` fully determines every draw, so results never
-//!   depend on thread scheduling;
+//!   depend on thread scheduling; normals come from a libm-free,
+//!   lane-blocked Box–Muller transform (stream [`RNG_STREAM`]);
 //! - [`accum`] — merge-order-invariant online statistics
 //!   ([`accum::YieldAccumulator`]): Welford moments via per-block partials
 //!   folded in canonical order, fixed log-grid quantiles, exact
@@ -15,7 +16,8 @@
 //! - [`chain`] — the timing model ([`chain::GateChain`]): each logic stage
 //!   compiles to an optimized moment tape over `rdrv`/`cload` symbols, and
 //!   the path delay composes per-stage 50 %-delay metrics under shared
-//!   global + per-stage process variation;
+//!   global + per-stage process variation (one fused log-normal factor
+//!   per symbol);
 //! - [`engine`] — the streaming engine ([`engine::McEngine`]): a job on
 //!   the supervised `awesym_obs::exec::Executor` whose threads claim whole
 //!   blocks, drive the SoA batch evaluator, and deposit accumulators that
@@ -49,4 +51,4 @@ pub mod sample;
 pub use accum::{BlockPartial, QuantileGrid, Summary, Welford, YieldAccumulator};
 pub use chain::{ChainSpec, CompiledStage, DelayMetric, GateChain, StageSpec};
 pub use engine::{BlockSpec, BlockWorker, McConfig, McEngine, McReport, McTask};
-pub use sample::BlockRng;
+pub use sample::{BlockRng, RNG_STREAM};

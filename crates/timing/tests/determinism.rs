@@ -52,21 +52,13 @@ fn streamed_mean_matches_scalar_reference() {
     let r = run(&chain, 4, samples);
 
     // Re-derive the mean with the scalar (non-batch, non-pooled) path.
-    let spec = chain.spec();
+    let mut z = vec![0.0; chain.normals_per_sample()];
     let mut sum = 0.0;
     for b in 0..samples / block as u64 {
         let mut rng = BlockRng::new(0xC0FFEE, b);
         for _ in 0..block {
-            let g = [
-                rng.log_normal(spec.sigma_global_r),
-                rng.log_normal(spec.sigma_global_c),
-            ];
-            let locals: Vec<[f64; 2]> = chain
-                .stages()
-                .iter()
-                .map(|s| [rng.log_normal(s.sigma[0]), rng.log_normal(s.sigma[1])])
-                .collect();
-            sum += chain.sample_delay(g, &locals);
+            rng.fill_normals(&mut z);
+            sum += chain.sample_delay(&z);
         }
     }
     let scalar_mean = sum / samples as f64;

@@ -62,6 +62,14 @@ step "simd parity (evaluator suites at AWESYM_LANES=1/4/8)" \
     AWESYM_LANES="${lanes}" cargo test -q -p awesym-symbolic -p awesym-timing
   done'
 
+# The Monte Carlo normal stream is libm-free and must give the same bits
+# at any codegen: rerun its goldens at the SSE2-only x86-64 baseline
+# (RUSTFLAGS overrides the x86-64-v3 pin in .cargo/config.toml; its own
+# target dir keeps the other steps' artifacts from being rebuilt).
+step "rng stream goldens at SSE2-baseline codegen" \
+  env RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64-baseline \
+  cargo test -p awesym-timing --release --lib sample::
+
 # --out keeps the smoke run's report away from the committed baseline in
 # results/, which only full bench runs may regenerate.
 step "tape optimizer smoke (op-count, agreement, and throughput gates)" \
