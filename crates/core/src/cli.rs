@@ -67,18 +67,18 @@ USAGE:
                [--max-inflight n] [--stats-every n] [--shards n]
                [--shard-workers n] [--listen addr] [--max-conns n]
                [--idle-timeout-ms t]
-               newline-delimited-JSON request loop on stdin/stdout: load,
-               compile, save, eval, batch, stats, health, drain,
-               shutdown (see docs/serving.md; limits in
+               request session on stdin/stdout (NDJSON lines and binary
+               request frames): load, compile, save, eval, batch, stats,
+               health, drain, shutdown (see docs/serving.md; limits in
                docs/robustness.md). --shards splits the model fleet into
                n supervised shards (crash isolation, per-shard circuit
                breakers), each with a persistent --shard-workers pool.
                --stats-every n emits a stats NDJSON line (with per-stage
                latency breakdown) to stderr every n requests
-               (docs/observability.md). --listen addr serves the same
-               protocol over TCP instead — multi-client sessions,
-               binary request frames, --max-conns connection limit,
-               --idle-timeout-ms idle close (docs/networking.md)
+               (docs/observability.md; stdin only). --listen addr runs
+               the same session over TCP instead — multi-client,
+               --max-conns connection limit, --idle-timeout-ms idle
+               close (docs/networking.md)
   awesym timing [chain.json] [--stages n] [--samples n] [--block n]
                [--workers n] [--seed s] [--deadline secs] [--metric m]
                [--order q]
@@ -122,7 +122,7 @@ struct Opts {
     deadline_ms: Option<u64>,
     max_batch: Option<usize>,
     max_inflight: Option<usize>,
-    stats_every: u64,
+    stats_every: Option<u64>,
     shards: Option<usize>,
     shard_workers: Option<usize>,
     listen: Option<String>,
@@ -151,7 +151,7 @@ fn parse_opts(args: &[&str]) -> Result<Opts, String> {
         deadline_ms: None,
         max_batch: None,
         max_inflight: None,
-        stats_every: 0,
+        stats_every: None,
         shards: None,
         shard_workers: None,
         listen: None,
@@ -238,9 +238,11 @@ fn parse_opts(args: &[&str]) -> Result<Opts, String> {
                 )
             }
             "--stats-every" => {
-                o.stats_every = grab("--stats-every")?
-                    .parse()
-                    .map_err(|e| format!("bad --stats-every: {e}"))?
+                o.stats_every = Some(
+                    grab("--stats-every")?
+                        .parse()
+                        .map_err(|e| format!("bad --stats-every: {e}"))?,
+                )
             }
             "--shards" => {
                 o.shards = Some(
@@ -518,13 +520,17 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
     if let Some(extra) = &o.netlist {
         return Err(format!("serve takes no positional argument '{extra}'"));
     }
+    if o.listen.is_some() && o.stats_every.is_some() {
+        // Socket sessions have no stats sink.
+        return Err("--stats-every applies to stdin serving only, not --listen".to_string());
+    }
     let defaults = awesym_serve::ServerConfig::default();
     let server = awesym_serve::Server::with_config(awesym_serve::ServerConfig {
         capacity: o.capacity,
         deadline_ms: o.deadline_ms,
         max_batch_points: o.max_batch.unwrap_or(defaults.max_batch_points),
         max_inflight: o.max_inflight.unwrap_or(defaults.max_inflight),
-        stats_every: o.stats_every,
+        stats_every: o.stats_every.unwrap_or(defaults.stats_every),
         shards: o.shards.unwrap_or(defaults.shards).max(1),
         shard_workers: o.shard_workers.unwrap_or(defaults.shard_workers),
         ..defaults
@@ -561,16 +567,22 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
         );
         return Ok(String::new());
     }
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    // Periodic stats go to stderr: stdout is the NDJSON response stream
-    // and must stay strictly request/response. Pass stderr *unlocked* —
-    // holding its lock for the whole serve loop would deadlock any
-    // worker-thread write to stderr (panic-hook output, env warnings)
-    // against the blocked submitter.
-    server
-        .serve_with_stats(stdin.lock(), stdout.lock(), std::io::stderr())
-        .map_err(|e| format!("serve transport error: {e}"))?;
+    // Periodic stats go to stderr: stdout is the response stream. Pass
+    // stderr *unlocked* — holding its lock for the whole session would
+    // deadlock any worker-thread write to stderr (panic-hook output, env
+    // warnings) against the blocked submitter.
+    let mut stderr = std::io::stderr();
+    let transport = awesym_net::Transport {
+        stats_out: Some(&mut stderr),
+        ..awesym_net::Transport::default()
+    };
+    awesym_net::session::run(
+        &server,
+        transport,
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+    )
+    .map_err(|e| format!("serve transport error: {e}"))?;
     let snap = server.registry_stats();
     // Stdout carries the NDJSON response stream; keep the human-readable
     // wrap-up off it so programmatic clients reading to EOF never see a
@@ -1061,6 +1073,15 @@ mod tests {
         ] {
             assert!(run(&["serve", flag, "x"]).unwrap_err().contains(msg));
             assert!(run(&["serve", flag]).unwrap_err().contains("missing value"));
+        }
+        // Socket sessions have no stats sink: the combination is a usage
+        // error, caught before anything binds.
+        for every in ["0", "5"] {
+            assert!(
+                run(&["serve", "--listen", "127.0.0.1:0", "--stats-every", every])
+                    .unwrap_err()
+                    .contains("--stats-every applies to stdin serving only")
+            );
         }
         assert!(run(&["serve", "--listen"])
             .unwrap_err()

@@ -1,11 +1,11 @@
-//! TCP front end for the AWEsymbolic serving engine.
+//! TCP front end and session loop for the AWEsymbolic serving engine.
 //!
 //! The paper's economics — compile once, evaluate in microseconds —
 //! only survive contact with a network if the transport and decode
 //! layers stay out of the way. This crate is that front end, behind
 //! `awesym serve --listen ADDR`, in three layers:
 //!
-//! - **transport** ([`listener`], [`conn`]): a thread-per-connection
+//! - **transport** ([`listener`], [`session`]): a thread-per-connection
 //!   accept loop over one shared [`awesym_serve::Server`], with a
 //!   bounded global connection limit, per-connection write
 //!   backpressure, idle timeouts, and graceful drain wired to the
@@ -22,23 +22,23 @@
 //!   with decode-stage timing split by request encoding recorded by
 //!   the engine itself.
 //!
-//! The stdin/stdout NDJSON loop remains the default transport and is
-//! bit-identical per request to this one: both feed the same engine
-//! entry points, and the loopback suite in `tests/` asserts byte
-//! equality under concurrency and injected faults. See
-//! `docs/networking.md` for the framing spec, negotiation, limits, and
-//! drain semantics.
+//! [`session::run`] is the only request loop: `awesym serve` runs it on
+//! stdin/stdout too, so both transports accept the same messages (NDJSON
+//! lines and `AWSQ` frames) and answer them with the same bytes; the
+//! loopback suite in `tests/` asserts that under concurrency and
+//! injected faults. See `docs/networking.md` for the framing spec,
+//! negotiation, limits, and drain semantics.
 
 #![forbid(unsafe_code)]
 // Production code must route failures through typed errors, not
 // unwrap; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod conn;
 pub mod frame;
 pub mod listener;
 pub mod metrics;
 pub mod reader;
+pub mod session;
 
 pub use frame::{
     decode_request, encode_request, request_frame_len, RequestFrame, RequestFrameError,
@@ -48,3 +48,4 @@ pub use frame::{
 pub use listener::{NetConfig, NetServer};
 pub use metrics::{ConnScope, NetMetrics};
 pub use reader::{MessageKind, MessageSpan, RecvBuf, ScanError};
+pub use session::Transport;

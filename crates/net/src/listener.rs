@@ -2,7 +2,7 @@
 //! serve engine.
 //!
 //! [`NetServer::bind`] wraps an existing [`Server`] (the same engine
-//! the stdin loop drives) and [`NetServer::run`] accepts clients until
+//! the stdin session drives) and [`NetServer::run`] accepts clients until
 //! a `shutdown` request lands on any session or a `drain` winds the
 //! fleet down. Limits are enforced at the door: past
 //! [`NetConfig::max_conns`] a connection is answered with one typed
@@ -13,8 +13,8 @@
 //! each session answers everything it has read before checking the
 //! drain state.
 
-use crate::conn;
 use crate::metrics::NetMetrics;
+use crate::session::{self, Transport};
 use awesym_serve::{adaptive_retry_after_ms, Server};
 use serde::Content;
 use std::io::{self, Write};
@@ -28,7 +28,13 @@ use std::time::Duration;
 /// the drain/shutdown state.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// Socket front-end limits.
+/// Socket read timeout: how often a blocked session rechecks the idle
+/// clock, the drain state, and the shutdown flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Socket front-end limits. The largest accepted message is the
+/// engine's [`ServerConfig::max_line_bytes`](awesym_serve::ServerConfig::max_line_bytes),
+/// the same on every transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
     /// Concurrent connections accepted before newcomers are refused
@@ -39,9 +45,6 @@ pub struct NetConfig {
     /// Longest a response write may block on a slow client before the
     /// connection is closed (per-connection write backpressure bound).
     pub write_timeout: Duration,
-    /// Largest accepted message — request line or binary frame — in
-    /// bytes (mirrors the engine's `max_line_bytes`).
-    pub max_frame_bytes: usize,
 }
 
 impl Default for NetConfig {
@@ -50,7 +53,6 @@ impl Default for NetConfig {
             max_conns: 256,
             idle_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(10),
-            max_frame_bytes: 64 << 20,
         }
     }
 }
@@ -196,7 +198,6 @@ impl NetServer {
 
     fn spawn_session(&self, stream: TcpStream) {
         let server = Arc::clone(&self.server);
-        let metrics = Arc::clone(&self.metrics);
         let shutdown = Arc::clone(&self.shutdown);
         let cfg = self.cfg.clone();
         self.active.fetch_add(1, Ordering::AcqRel);
@@ -205,8 +206,24 @@ impl NetServer {
             .name("awesym-net-conn".to_string())
             .spawn(move || {
                 let _guard = guard;
+                // Nodelay: responses are small and latency-sensitive;
+                // nothing here benefits from Nagle batching.
+                let _ = stream.set_nodelay(true);
+                // The write timeout bounds backpressure: a client that
+                // stops reading its responses is disconnected.
+                let timeouts = stream
+                    .set_read_timeout(Some(POLL_INTERVAL))
+                    .and_then(|()| stream.set_write_timeout(Some(cfg.write_timeout)));
+                let transport = Transport {
+                    shutdown: Some(&shutdown),
+                    idle_timeout: Some(cfg.idle_timeout),
+                    close_on_drain: true,
+                    stats_out: None,
+                };
                 // Per-connection errors end that session only.
-                let _ = conn::run_conn(&server, &metrics, &cfg, &shutdown, stream);
+                if timeouts.is_ok() {
+                    let _ = session::run(&server, transport, &stream, &stream);
+                }
             });
         if spawned.is_err() {
             // Thread spawn failed: the guard moved into the closure

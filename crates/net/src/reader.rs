@@ -117,8 +117,7 @@ impl RecvBuf {
         if pending.is_empty() {
             return Ok(None);
         }
-        let probe = pending.len().min(REQUEST_MAGIC.len());
-        if pending[..probe] == REQUEST_MAGIC[..probe] {
+        if starts_like_frame(pending) {
             if pending.len() < REQUEST_HEADER_LEN {
                 // Could still become a full frame header (or, under 4
                 // bytes, turn out not to be the magic at all): wait.
@@ -150,6 +149,21 @@ impl RecvBuf {
             }),
             None => Ok(None),
         }
+    }
+
+    /// At end of input: the bytes left over as one final, unterminated
+    /// [`MessageKind::Line`]. `None` when nothing is left or the rest
+    /// starts like a binary frame — a truncated frame can never
+    /// complete, so it is dropped.
+    pub fn scan_final(&self) -> Option<MessageSpan> {
+        let pending = self.pending();
+        if pending.is_empty() || starts_like_frame(pending) {
+            return None;
+        }
+        Some(MessageSpan {
+            kind: MessageKind::Line,
+            len: pending.len(),
+        })
     }
 
     /// Consumes `span` from the front of the buffer, returning its
@@ -184,6 +198,13 @@ impl RecvBuf {
         self.end += n;
         Ok(n)
     }
+}
+
+/// True when `pending` begins with the `AWSQ` magic, or with a prefix
+/// of it that more bytes could complete.
+fn starts_like_frame(pending: &[u8]) -> bool {
+    let probe = pending.len().min(REQUEST_MAGIC.len());
+    pending[..probe] == REQUEST_MAGIC[..probe]
 }
 
 #[cfg(test)]
@@ -295,6 +316,28 @@ mod tests {
             rb.scan(),
             Err(ScanError::Frame(RequestFrameError::BadVersion(9)))
         );
+    }
+
+    #[test]
+    fn at_eof_an_unterminated_line_is_final_and_a_partial_frame_is_dropped() {
+        let mut rb = RecvBuf::with_limit(1 << 20);
+        assert_eq!(rb.scan_final(), None, "nothing pending");
+        feed(&mut rb, b"{\"cmd\":\"stats\"}\n{\"cmd\":\"health\"}");
+        let span = rb.scan().unwrap().unwrap();
+        assert_eq!(rb.take(span), b"{\"cmd\":\"stats\"}\n");
+        assert!(rb.scan().unwrap().is_none(), "no newline yet");
+        let span = rb.scan_final().unwrap();
+        assert_eq!(span.kind, MessageKind::Line);
+        assert_eq!(rb.take(span), b"{\"cmd\":\"health\"}");
+        assert_eq!(rb.scan_final(), None);
+
+        let frame = tiny_frame();
+        for cut in [2, REQUEST_HEADER_LEN, frame.len() - 1] {
+            let mut rb = RecvBuf::with_limit(1 << 20);
+            feed(&mut rb, &frame[..cut]);
+            assert!(rb.scan().unwrap().is_none());
+            assert_eq!(rb.scan_final(), None, "frame cut at {cut}");
+        }
     }
 
     #[test]

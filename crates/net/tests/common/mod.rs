@@ -109,6 +109,14 @@ impl Client {
         self.send(b"\n");
     }
 
+    /// Half-closes the connection: the server reads EOF, the client can
+    /// still read the answers.
+    pub fn finish_sending(&mut self) {
+        self.stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+    }
+
     fn fill(&mut self) -> usize {
         let mut tmp = [0u8; 64 << 10];
         let n = self.stream.read(&mut tmp).expect("socket read");

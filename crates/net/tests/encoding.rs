@@ -1,10 +1,11 @@
-//! Wire-format equivalence over the real serve loop: the same batch
+//! Wire-format equivalence over the shared session loop: the same batch
 //! requested as NDJSON and as binary-v1 through one session must produce
 //! value-identical responses (bit-for-bit on every float), binary frames
 //! must interleave with NDJSON lines without framing ambiguity, and a
 //! frame corrupted anywhere on the wire must be rejected with a typed
 //! reason. This is the test the CI wire-equivalence matrix leg runs.
 
+use awesym_net::{session, Transport};
 use awesym_serve::encode::{BINARY_HEADER_LEN, FLAG_HAS_ID};
 use awesym_serve::{decode_frame, FrameError, Server};
 use serde::Content;
@@ -73,12 +74,13 @@ fn take_frame(bytes: &mut &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Runs one session over the serve loop and returns the raw output bytes.
+/// Runs one session over the session loop and returns the raw output
+/// bytes.
 fn run_session(lines: &[String]) -> Vec<u8> {
     let server = Server::default();
     let input = lines.join("\n") + "\n";
     let mut out = Vec::new();
-    server.serve(input.as_bytes(), &mut out).unwrap();
+    session::run(&server, Transport::default(), input.as_bytes(), &mut out).unwrap();
     out
 }
 

@@ -214,16 +214,16 @@ fn bad_frame_header_gets_typed_error_then_close() {
     assert_eq!(h.net.metrics().closed_protocol.get(), 1);
 }
 
-/// A message past `max_frame_bytes` is a typed error and a close, for
+/// A message past `max_line_bytes` is a typed error and a close, for
 /// both an oversized line and a frame whose header declares too much.
 #[test]
 fn oversized_messages_get_typed_error_then_close() {
     let h = Harness::start(
-        Server::default(),
-        NetConfig {
-            max_frame_bytes: 256,
-            ..NetConfig::default()
-        },
+        Server::with_config(ServerConfig {
+            max_line_bytes: 256,
+            ..ServerConfig::default()
+        }),
+        NetConfig::default(),
     );
     let mut c = h.connect();
     c.send(&vec![b'x'; 512]);
@@ -251,6 +251,29 @@ fn oversized_messages_get_typed_error_then_close() {
     );
     assert_eq!(c.read_to_eof(), b"");
     assert_eq!(h.net.metrics().closed_protocol.get(), 2);
+}
+
+/// A client that half-closes after an unterminated line still gets that
+/// line answered (the EOF rule stdin follows too); a frame cut short by
+/// EOF is dropped without an answer.
+#[test]
+fn eof_answers_an_unterminated_final_line() {
+    let h = Harness::start(Server::default(), NetConfig::default());
+    let mut c = h.connect();
+    c.send(b"{\"cmd\":\"stats\"}\n{\"cmd\":\"health\",\"id\":5}");
+    assert!(ok_of(&parse_line(&c.read_line())));
+    c.finish_sending();
+    let health = parse_line(&c.read_line());
+    assert!(ok_of(&health), "{health:?}");
+    assert_eq!(health.get("id").and_then(Content::as_u64), Some(5));
+    assert_eq!(c.read_to_eof(), b"");
+
+    let mut c = h.connect();
+    let frame = BatchSpec::new("m", grid(0, 0, 2), RequestKind::Moments).frame();
+    c.send(&frame[..frame.len() - 1]);
+    c.finish_sending();
+    assert_eq!(c.read_to_eof(), b"");
+    assert_eq!(h.net.metrics().closed_protocol.get(), 0);
 }
 
 /// A `shutdown` request over any session stops the whole front end:

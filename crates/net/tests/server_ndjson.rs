@@ -1,7 +1,9 @@
 //! End-to-end NDJSON serving: compile a model over the wire, push a
 //! 1000+-point batch through it deterministically, and check the
-//! observability counters — the PR's acceptance scenario.
+//! observability counters. Sessions run on the shared session loop
+//! over byte buffers, as `awesym serve` runs it on stdin.
 
+use awesym_net::{session, Transport};
 use awesym_serve::Server;
 use serde::Content;
 
@@ -31,7 +33,7 @@ fn run_session(lines: &[String]) -> Vec<String> {
     let server = Server::default();
     let input = lines.join("\n") + "\n";
     let mut out = Vec::new();
-    server.serve(input.as_bytes(), &mut out).unwrap();
+    session::run(&server, Transport::default(), input.as_bytes(), &mut out).unwrap();
     String::from_utf8(out)
         .unwrap()
         .lines()

@@ -46,7 +46,6 @@ use crate::{artifact, resolve, ServeError};
 use awesym_obs::{now_ns, Tracer};
 use awesym_partition::CompiledModel;
 use serde::Content;
-use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,7 +60,11 @@ pub struct ServerConfig {
     pub capacity: usize,
     /// Largest accepted `batch` request, in points.
     pub max_batch_points: usize,
-    /// Largest accepted request line, in bytes (guards the JSON parser).
+    /// Largest request message, line or frame, in bytes. It guards the
+    /// JSON parser and bounds a session's receive buffer: a line longer
+    /// than this gets a typed `bad_request`, and a session that has
+    /// buffered more than this without finding the message's end
+    /// answers one and closes.
     pub max_line_bytes: usize,
     /// Default evaluation deadline applied to `eval`/`batch` requests;
     /// `None` means no deadline unless the request carries
@@ -78,8 +81,11 @@ pub struct ServerConfig {
     /// per-request clock read except the latency counter — the benches
     /// flip this to measure the observability layer's own overhead.
     pub observe: bool,
-    /// Emit one NDJSON stats line to the stats sink every `N` handled
-    /// requests during [`Server::serve_with_stats`]; `0` disables.
+    /// Emit one NDJSON stats line (see [`Server::stats_line_into`]) every
+    /// `N` handled requests of a session that has a stats sink; `0`
+    /// disables. Only the stdin session of `awesym serve` has one
+    /// (`--stats-every N` sends the lines to stderr, off the response
+    /// stream); socket sessions have none.
     pub stats_every: u64,
     /// Shards the model fleet is split across (min 1). Each shard owns a
     /// tiered registry, a persistent worker pool, and a circuit breaker;
@@ -919,16 +925,9 @@ impl Server {
         ResponseMeta { encoding, shutdown }
     }
 
-    /// One NDJSON stats line: the server snapshot (with per-stage
-    /// breakdown), registry counters, and how many trace spans the ring
-    /// has overwritten.
-    pub fn stats_line(&self) -> String {
-        let mut out = Vec::new();
-        self.stats_line_into(&mut out);
-        String::from_utf8(out).expect("stats line is valid UTF-8")
-    }
-
-    /// As [`Server::stats_line`], appending to a reusable buffer.
+    /// Appends one NDJSON stats line to `out`: the server snapshot (with
+    /// per-stage breakdown), registry counters, and how many trace spans
+    /// the ring has overwritten.
     pub fn stats_line_into(&self, out: &mut Vec<u8>) {
         let server = serde_json::to_value(&self.stats.snapshot()).unwrap_or(Content::Null);
         let registry = serde_json::to_value(&self.registry_stats()).unwrap_or(Content::Null);
@@ -939,82 +938,6 @@ impl Server {
             ("spans_dropped", Content::U64(self.tracer.dropped())),
         ]);
         encode::encoder_for(WireEncoding::Ndjson).encode_stats(&line, out);
-    }
-
-    /// Runs the NDJSON loop until EOF or a `shutdown` request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport read/write failures.
-    pub fn serve<R: BufRead, W: Write>(&self, reader: R, writer: W) -> std::io::Result<()> {
-        self.serve_with_stats(reader, writer, std::io::sink())
-    }
-
-    /// As [`Server::serve`], but additionally writes one NDJSON stats
-    /// line (see [`Server::stats_line`]) to `stats_out` every
-    /// [`ServerConfig::stats_every`] handled requests. The stats stream
-    /// is separate from the response stream so programmatic clients
-    /// reading responses never see an unsolicited line — `awesym serve
-    /// --stats-every N` routes it to stderr.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport read/write failures on the request/response
-    /// streams only. A stats-sink write failure never stops the loop:
-    /// the line is dropped and counted in the `stats_dropped` counter.
-    pub fn serve_with_stats<R: BufRead, W: Write, S: Write>(
-        &self,
-        reader: R,
-        mut writer: W,
-        mut stats_out: S,
-    ) -> std::io::Result<()> {
-        let every = self.config.stats_every;
-        let mut handled: u64 = 0;
-        // One response buffer per connection, reused across requests.
-        let mut buf: Vec<u8> = Vec::with_capacity(4096);
-        let mut lines = reader.lines();
-        loop {
-            // Time blocked on the transport separately from decode: the
-            // read below includes client think time, which must not be
-            // charged to the parse stage (see `StatsSnapshot::wait`).
-            let wait0 = self.config.observe.then(now_ns);
-            let Some(line) = lines.next() else { break };
-            let line = line?;
-            if let Some(w0) = wait0 {
-                self.stats.record_wait(now_ns().saturating_sub(w0));
-            }
-            buf.clear();
-            if let Some(meta) = self.handle_line_into(&line, &mut buf) {
-                writer.write_all(&buf)?;
-                // NDJSON responses are newline-framed; binary frames are
-                // self-delimiting (explicit lengths in the header).
-                if meta.encoding == WireEncoding::Ndjson {
-                    writer.write_all(b"\n")?;
-                }
-                writer.flush()?;
-                handled += 1;
-                if every > 0 && handled.is_multiple_of(every) {
-                    buf.clear();
-                    self.stats_line_into(&mut buf);
-                    buf.push(b'\n');
-                    // Stats are advisory: a slow or dead sink must never
-                    // stall or kill the serve loop, so a failed write
-                    // drops the line and counts the drop instead of
-                    // propagating.
-                    if stats_out
-                        .write_all(&buf)
-                        .and_then(|()| stats_out.flush())
-                        .is_err()
-                    {
-                        self.stats.record_stats_dropped();
-                    }
-                }
-                if meta.shutdown {
-                    break;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1292,51 +1215,6 @@ mod tests {
         s.inflight.store(0, Ordering::SeqCst);
     }
 
-    /// A sink whose writes always fail.
-    struct BrokenSink;
-
-    impl Write for BrokenSink {
-        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-            Err(std::io::Error::other("sink is broken"))
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Err(std::io::Error::other("sink is broken"))
-        }
-    }
-
-    #[test]
-    fn failing_stats_sink_never_stalls_the_serve_loop() {
-        let s = Server::with_config(ServerConfig {
-            stats_every: 1,
-            ..ServerConfig::default()
-        });
-        let mut input = compile_req("m");
-        input.push('\n');
-        for _ in 0..3 {
-            input.push_str(r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]}"#);
-            input.push('\n');
-        }
-        let mut out = Vec::new();
-        s.serve_with_stats(input.as_bytes(), &mut out, BrokenSink)
-            .unwrap();
-        // Every request answered despite 4 failed stats writes.
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(text.lines().count(), 4, "{text}");
-        for l in text.lines() {
-            assert!(ok_of(&serde_json::from_str(l).unwrap()), "{l}");
-        }
-        let snap = s.stats.snapshot();
-        assert_eq!(snap.stats_dropped, 4);
-        // And the drop counter is visible on the stats command.
-        let c = parse(&s.handle_line(r#"{"cmd":"stats"}"#).unwrap());
-        assert_eq!(
-            c.get("server")
-                .and_then(|v| v.get("stats_dropped"))
-                .and_then(Content::as_u64),
-            Some(4)
-        );
-    }
-
     #[test]
     fn sharded_server_routes_by_name_and_reports_health() {
         let s = Server::with_config(ServerConfig {
@@ -1486,71 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_every_emits_periodic_ndjson_lines() {
-        let s = Server::with_config(ServerConfig {
-            stats_every: 2,
-            ..ServerConfig::default()
-        });
-        let mut input = compile_req("m");
-        input.push('\n');
-        for _ in 0..3 {
-            input.push_str(r#"{"cmd":"batch","model":"m","points":[[1e-9,1e3],[2e-9,2e3]]}"#);
-            input.push('\n');
-        }
-        let (mut out, mut stats) = (Vec::new(), Vec::new());
-        s.serve_with_stats(input.as_bytes(), &mut out, &mut stats)
-            .unwrap();
-        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 4);
-        let stats = String::from_utf8(stats).unwrap();
-        let lines: Vec<&str> = stats.lines().collect();
-        assert_eq!(lines.len(), 2, "4 requests / every-2 = 2 lines\n{stats}");
-        for l in &lines {
-            let c: Content = serde_json::from_str(l).unwrap();
-            assert_eq!(c.get("stats").and_then(Content::as_bool), Some(true));
-            let server = c.get("server").unwrap();
-            let stages = server.get("stages").and_then(Content::as_seq).unwrap();
-            assert_eq!(stages.len(), 5, "{l}");
-            assert!(c.get("registry").is_some());
-        }
-        // The last line reflects all three batch requests' eval stages.
-        let last: Content = serde_json::from_str(lines[1]).unwrap();
-        let stages = last
-            .get("server")
-            .and_then(|s| s.get("stages"))
-            .and_then(Content::as_seq)
-            .unwrap();
-        let eval = stages
-            .iter()
-            .find(|st| st.get("stage").and_then(Content::as_str) == Some("eval"))
-            .unwrap();
-        assert_eq!(eval.get("count").and_then(Content::as_u64), Some(3));
-        assert!(eval.get("total_ns").and_then(Content::as_u64).unwrap() > 0);
-    }
-
-    #[test]
-    fn serve_loop_over_buffers() {
-        let s = Server::default();
-        let mut input = compile_req("m");
-        input.push('\n');
-        input.push_str(r#"{"cmd":"eval","model":"m","values":[1e-9,1000.0]}"#);
-        input.push('\n');
-        input.push_str(r#"{"cmd":"shutdown"}"#);
-        input.push('\n');
-        // Lines after shutdown must not be processed.
-        input.push_str(r#"{"cmd":"stats"}"#);
-        input.push('\n');
-        let mut out = Vec::new();
-        s.serve(input.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "{text}");
-        for l in &lines {
-            let c: Content = serde_json::from_str(l).unwrap();
-            assert!(ok_of(&c), "{l}");
-        }
-    }
-
-    #[test]
     fn binary_negotiation_returns_a_frame_matching_ndjson_values() {
         let s = Server::default();
         s.handle_line(&compile_req("m")).unwrap();
@@ -1628,31 +1441,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.encoding, WireEncoding::BinaryV1);
         crate::encode::decode_frame(&r.body).unwrap();
-    }
-
-    #[test]
-    fn serve_loop_interleaves_binary_frames_without_newlines() {
-        let s = Server::default();
-        let mut input = compile_req("m");
-        input.push('\n');
-        input.push_str(r#"{"cmd":"batch","model":"m","points":[[1e-9,1e3]],"kind":"dc_gain","encoding":"binary-v1"}"#);
-        input.push('\n');
-        input.push_str(r#"{"cmd":"shutdown"}"#);
-        input.push('\n');
-        let mut out = Vec::new();
-        s.serve(input.as_bytes(), &mut out).unwrap();
-        // compile line + '\n', then a self-delimiting frame, then the
-        // shutdown line + '\n'.
-        let first_nl = out.iter().position(|&b| b == b'\n').unwrap();
-        let rest = &out[first_nl + 1..];
-        assert_eq!(&rest[..4], b"AWSB");
-        let frame_len = crate::encode::BINARY_HEADER_LEN + 1 + 8;
-        let frame = crate::encode::decode_frame(&rest[..frame_len]).unwrap();
-        assert_eq!(frame.count, 1);
-        assert_eq!(frame.cols, 1);
-        let tail = String::from_utf8(rest[frame_len..].to_vec()).unwrap();
-        let c: Content = serde_json::from_str(tail.trim()).unwrap();
-        assert_eq!(c.get("shutdown").and_then(Content::as_bool), Some(true));
     }
 
     #[test]

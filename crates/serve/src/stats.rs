@@ -127,7 +127,7 @@ pub struct StatsSnapshot {
     /// Points whose ROM fit degraded to a lower approximation order.
     pub degradations: u64,
     /// Periodic stats lines that could not be written to the stats sink
-    /// and were dropped (the serve loop never stalls on a slow or dead
+    /// and were dropped (a session never stalls on a slow or dead
     /// sink).
     pub stats_dropped: u64,
     /// Per-stage request-time breakdown, in pipeline order (only stages
@@ -142,8 +142,9 @@ pub struct StatsSnapshot {
     /// entry in [`StatsSnapshot::stages`]. The decode gain of the binary
     /// request frame is read straight off this split.
     pub parse_encodings: Vec<StageSnapshot>,
-    /// Time the transport spent blocked waiting for the *next* request
-    /// (stdin line read, socket read). Deliberately separate from the
+    /// Time the session spent blocked in reads that ended with new
+    /// bytes (one entry per such read, on stdin and sockets alike).
+    /// Deliberately separate from the
     /// `parse` stage: wait is client/transport idle time, parse is
     /// decode work, and folding them together would hide decode gains
     /// behind client think time.

@@ -50,8 +50,14 @@ step "cargo doc --no-deps (rustdoc warnings are errors)" \
 step "fault_suite (deterministic fault injection, fixed seeds)" \
   cargo test -p awesym-serve --features fault-injection -q
 
-step "net loopback suite (socket sessions under faults)" \
+# Mirrors the CI net-loopback and wire-equivalence jobs: the awesym-net
+# suites (loopback sessions under faults, and the NDJSON-vs-binary
+# encoding suite on the shared session loop), then the real binary
+# answering one byte script identically on stdin and over --listen.
+step "net loopback + wire-equivalence suites (socket sessions under faults)" \
   cargo test -p awesym-net --features fault-injection -q
+step "stdin-vs-socket transport identity (serve_bin)" \
+  cargo test -p awesymbolic -q --test serve_bin
 
 # Lane-width parity: the evaluator suites must be bit-identical with the
 # batch kernel pinned to scalar, 4-wide, and 8-wide lanes (the CI
